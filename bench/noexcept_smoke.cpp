@@ -1,5 +1,5 @@
-// Compile-and-run proof that the simulator's hot-path layers — the calendar
-// event engine, the envelope-hash MSM match indexes, and the payload pool —
+// Compile-and-run proof that the simulator's hot-path layers — the event
+// engine, the envelope-hash MSM match indexes, and the payload pool —
 // stay fully usable under -fno-exceptions (fatal errors route through
 // sim::simFail, which aborts instead of throwing).  Built only in the bench
 // preset, where this file and the engine sources are compiled with
@@ -18,7 +18,7 @@ int main() {
   bcs::sim::Engine eng;
   int fired = 0;
   eng.at(100, [&] { ++fired; });
-  eng.after(bcs::sim::msec(20), [&] { ++fired; });  // beyond wheel horizon
+  eng.after(bcs::sim::msec(20), [&] { ++fired; });  // far heap
   const bcs::sim::EventId doomed = eng.at(500, [&] { ++fired; });
   if (!eng.cancel(doomed)) return 1;
   eng.run();

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -133,9 +134,8 @@ bool deferTraceRecord(void* trace, TraceCommitFn commit, SimTime t,
 // Construction, node pool
 // ---------------------------------------------------------------------------
 
-Engine::Engine() : shard_seq_(1, 1), buckets_(kNumBuckets) {
+Engine::Engine() : shard_seq_(1, 1) {
   free_.reserve(kChunkSize);
-  overflow_.reserve(64);
   // The chunk table never reallocates (workers index it while another
   // worker appends under chunk_mu_); reserve the lifetime maximum up front.
   chunks_.reserve(kMaxChunks);
@@ -209,124 +209,97 @@ void Engine::releaseNode(std::uint32_t slot) {
 }
 
 // ---------------------------------------------------------------------------
-// Queue primitives (shared by the serial calendar and the shard heaps)
+// Queue primitives (one ShardQueue type for the serial and parallel paths).
+// The ones marked inline run for every event; only this file calls them.
 // ---------------------------------------------------------------------------
 
-void Engine::heapPush(std::vector<QEntry>& heap, QEntry entry) {
-  heap.push_back(entry);
-  std::size_t i = heap.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!entry.firesBefore(heap[parent])) break;
-    heap[i] = heap[parent];
-    i = parent;
-  }
-  heap[i] = entry;
-}
-
-void Engine::heapPop(std::vector<QEntry>& heap) {
-  const QEntry last = heap.back();
-  heap.pop_back();
-  if (heap.empty()) return;
-  std::size_t i = 0;
-  const std::size_t n = heap.size();
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && heap[child + 1].firesBefore(heap[child])) ++child;
-    if (!heap[child].firesBefore(last)) break;
-    heap[i] = heap[child];
-    i = child;
-  }
-  heap[i] = last;
-}
-
-// Descending (when, key): back() of a sorted bucket is the earliest entry.
+// Descending (when, key): back() of a sorted near vector is the earliest.
 static constexpr auto kLaterFirst = [](const auto& a, const auto& b) {
   return b.firesBefore(a);
 };
 
-void Engine::enqueue(QEntry entry) {
-  std::uint64_t idx = static_cast<std::uint64_t>(entry.when) >> kBucketShift;
-  // The cursor may already have scanned past this event's natural bucket
-  // (base_ tracks the wheel minimum, and `when >= now_` is all we checked).
-  // Clamping keeps ordering correct: within a bucket entries order by
-  // (when, key), and all later buckets hold strictly later times.
-  if (idx < base_) idx = base_;
-  if (idx < base_ + kNumBuckets) {
-    auto& bucket = buckets_[idx & kBucketMask];
-    if (idx == sorted_bucket_) {
-      // Late arrival into the bucket currently being drained: keep it
-      // sorted so pop order stays exact.
-      bucket.insert(
-          std::upper_bound(bucket.begin(), bucket.end(), entry, kLaterFirst),
-          entry);
+inline void Engine::enqueue(ShardQueue& q, QEntry entry) {
+  if (entry.when < q.end) {
+    q.near.insert(
+        std::upper_bound(q.near.begin(), q.near.end(), entry, kLaterFirst),
+        entry);
+  } else {
+    farPush(q, entry);
+  }
+}
+
+inline void Engine::farPush(ShardQueue& q, QEntry entry) {
+  const int b = std::bit_width(static_cast<std::uint64_t>(entry.when ^ q.base));
+  q.far[static_cast<std::size_t>(b)].push_back(entry);
+  q.occupied |= 1ull << b;
+}
+
+SimTime Engine::farMin(const ShardQueue& q) {
+  const int b = std::countr_zero(q.occupied);
+  if (b == 0) return q.base;
+  SimTime m = INT64_MAX;
+  for (const QEntry& e : q.far[static_cast<std::size_t>(b)]) {
+    m = std::min(m, e.when);
+  }
+  return m;
+}
+
+std::vector<Engine::QEntry> Engine::takeAll(ShardQueue& q) {
+  std::vector<QEntry> all(q.near.begin(), q.near.end());
+  q.near.clear();
+  for (auto& bucket : q.far) {
+    all.insert(all.end(), bucket.begin(), bucket.end());
+    bucket.clear();
+  }
+  q.occupied = 0;
+  q.base = 0;
+  q.end = 0;
+  return all;
+}
+
+void Engine::refill(ShardQueue& q, SimTime end) {
+  q.end = end;
+  const auto uend = static_cast<std::uint64_t>(end);
+  while (q.occupied != 0) {
+    const int b = std::countr_zero(q.occupied);
+    auto& bucket = q.far[static_cast<std::size_t>(b)];
+    // Bucket b's block of times: [lo, lo + span).
+    const auto base = static_cast<std::uint64_t>(q.base);
+    const std::uint64_t span = b == 0 ? 1 : 1ull << (b - 1);
+    const std::uint64_t lo = b == 0 ? base : ((base >> (b - 1)) | 1) << (b - 1);
+    if (lo >= uend) break;  // this and every higher block lie past the end
+    q.occupied &= ~(1ull << b);
+    if (lo + span > uend) {
+      // The block straddles the end: re-base on its earliest entry, which
+      // spreads it over lower buckets (every entry shares bit b-1 and all
+      // above with the new base).  base stays below the end.
+      SimTime m = INT64_MAX;
+      for (const QEntry& e : bucket) m = std::min(m, e.when);
+      if (m >= end) {
+        q.occupied |= 1ull << b;
+        break;
+      }
+      q.base = m;
+      for (const QEntry& e : bucket) farPush(q, e);
     } else {
-      bucket.push_back(entry);
+      q.near.insert(q.near.end(), bucket.begin(), bucket.end());
     }
-    ++wheel_count_;
-  } else {
-    heapPush(overflow_, entry);
+    bucket.clear();
   }
+  std::sort(q.near.begin(), q.near.end(), kLaterFirst);
 }
 
-bool Engine::peekNext(QEntry& entry, bool& from_overflow) {
-  // Drop dead entries from the overflow top first so the comparison below
-  // sees a live candidate (or none).
-  while (!overflow_.empty() && !node(overflow_.front().slot).armed) {
-    releaseNode(overflow_.front().slot);
-    heapPop(overflow_);
-    ++dropped_tombstones_;
+inline bool Engine::liveNear(ShardQueue& q,
+                             std::vector<std::uint32_t>& free,
+                             std::uint64_t& dropped) {
+  while (!q.near.empty() && !node(q.near.back().slot).armed) {
+    const std::uint32_t slot = q.near.back().slot;
+    q.near.pop_back();
+    ++node(slot).gen;
+    free.push_back(slot);
+    ++dropped;
   }
-  // Advance the cursor to the first bucket with a live entry, sorting each
-  // bucket once as the cursor reaches it.
-  const QEntry* wheel_top = nullptr;
-  while (wheel_count_ > 0) {
-    auto& bucket = buckets_[base_ & kBucketMask];
-    if (!bucket.empty() && base_ != sorted_bucket_) {
-      std::sort(bucket.begin(), bucket.end(), kLaterFirst);
-      sorted_bucket_ = base_;
-    }
-    while (!bucket.empty() && !node(bucket.back().slot).armed) {
-      releaseNode(bucket.back().slot);
-      bucket.pop_back();
-      --wheel_count_;
-      ++dropped_tombstones_;
-    }
-    if (!bucket.empty()) {
-      wheel_top = &bucket.back();
-      break;
-    }
-    ++base_;
-  }
-  if (wheel_top == nullptr && overflow_.empty()) return false;
-  if (wheel_top == nullptr) {
-    entry = overflow_.front();
-    from_overflow = true;
-    // All activity lives beyond the horizon; jump the cursor so future
-    // enqueues near this time land in the wheel again.
-    const std::uint64_t idx =
-        static_cast<std::uint64_t>(overflow_.front().when) >> kBucketShift;
-    if (idx > base_) base_ = idx;
-    return true;
-  }
-  if (!overflow_.empty() && overflow_.front().firesBefore(*wheel_top)) {
-    entry = overflow_.front();
-    from_overflow = true;
-    return true;
-  }
-  entry = *wheel_top;
-  from_overflow = false;
-  return true;
-}
-
-void Engine::extract(bool from_overflow) {
-  if (from_overflow) {
-    heapPop(overflow_);
-  } else {
-    buckets_[base_ & kBucketMask].pop_back();
-    --wheel_count_;
-  }
+  return !q.near.empty();
 }
 
 // ---------------------------------------------------------------------------
@@ -376,17 +349,8 @@ EventId Engine::finishSchedule(const Prep& p, SimTime when) {
         makeKey(p.shard, false, shard_seq_[p.shard]++);
     const QEntry entry{when, key, p.slot};
     // Same-shard scheduling only (beginSchedule* enforce it), so the target
-    // queue is always the one the worker is draining: events inside the
-    // window keep `near` sorted via the calendar queue's late-arrival
-    // insert; everything else takes the far heap.
-    auto& sq = *static_cast<ShardQueue*>(p.ctx->queue);
-    if (when < p.ctx->window_end) {
-      sq.near.insert(
-          std::upper_bound(sq.near.begin(), sq.near.end(), entry, kLaterFirst),
-          entry);
-    } else {
-      heapPush(sq.far, entry);
-    }
+    // queue is always the one the worker is draining.
+    enqueue(*static_cast<ShardQueue*>(p.ctx->queue), entry);
     return EventId{p.slot + 1, n.gen};
   }
   ++live_;
@@ -394,7 +358,7 @@ EventId Engine::finishSchedule(const Prep& p, SimTime when) {
     shard_seq_.resize(static_cast<std::size_t>(p.shard) + 1, 1);
   }
   const std::uint64_t key = makeKey(p.shard, false, shard_seq_[p.shard]++);
-  enqueue(QEntry{when, key, p.slot});
+  enqueue(queue_, QEntry{when, key, p.slot});
   return EventId{p.slot + 1, n.gen};
 }
 
@@ -417,7 +381,7 @@ void Engine::handoffImpl(ShardId shard, SimTime when, EventCallback cb) {
   n.shard = shard;
   n.fn = std::move(cb);
   ++live_;
-  enqueue(QEntry{when, makeKey(shard, true, handoff_seq_++), slot});
+  enqueue(queue_, QEntry{when, makeKey(shard, true, handoff_seq_++), slot});
 }
 
 bool Engine::cancel(EventId id) {
@@ -467,13 +431,13 @@ std::uint64_t Engine::currentEventKey() const {
 }
 
 // ---------------------------------------------------------------------------
-// Serial execution (the reference implementation)
+// Serial execution
 // ---------------------------------------------------------------------------
 
-// Fires the event in `entry` (already extracted from the queue).  The
-// callback runs in place: node addresses are stable and the slot is not
-// released until the callback returns, so reentrant at()/cancel() calls are
-// safe and a self-cancel fails harmlessly (armed is already false).
+// Fires the event in `entry` (already popped from the queue).  The callback
+// runs in place: node addresses are stable and the slot is not released
+// until the callback returns, so reentrant at()/cancel() calls are safe and
+// a self-cancel fails harmlessly (armed is already false).
 void Engine::fire(const QEntry& entry) {
   now_ = entry.when;
   Node& n = node(entry.slot);
@@ -496,11 +460,23 @@ void Engine::fire(const QEntry& entry) {
   releaseNode(entry.slot);
 }
 
+inline bool Engine::nextSerial(SimTime until) {
+  while (!liveNear(queue_, free_, dropped_tombstones_)) {
+    // The window is spent: open the one holding the earliest far entry.
+    // A cancelled minimum is harmless: liveNear reclaims it, and if it lies
+    // past `until` so does every far entry.
+    if (queue_.occupied == 0) return false;
+    const SimTime t = farMin(queue_);
+    if (t > until) return false;
+    refill(queue_, (t / kSerialWindow + 1) * kSerialWindow);
+  }
+  return queue_.near.back().when <= until;
+}
+
 bool Engine::step() {
-  QEntry entry;
-  bool from_overflow;
-  if (!peekNext(entry, from_overflow)) return false;
-  extract(from_overflow);
+  if (!nextSerial(INT64_MAX)) return false;
+  const QEntry entry = queue_.near.back();
+  queue_.near.pop_back();
   fire(entry);
   cur_shard_ = 0;
   cur_key_ = 0;
@@ -508,59 +484,14 @@ bool Engine::step() {
 }
 
 SimTime Engine::run(SimTime until) {
-  // Fused peek + extract + fire loop.  Equivalent to `while (step())` with
-  // an `until` bound, but keeps the bucket reference and queue entry in
-  // registers across the pop instead of re-deriving them per event.
-  for (;;) {
-    while (!overflow_.empty() && !node(overflow_.front().slot).armed) {
-      releaseNode(overflow_.front().slot);
-      heapPop(overflow_);
-      ++dropped_tombstones_;
-    }
-    std::vector<QEntry>* bucket = nullptr;
-    while (wheel_count_ > 0) {
-      bucket = &buckets_[base_ & kBucketMask];
-      if (!bucket->empty() && base_ != sorted_bucket_) {
-        std::sort(bucket->begin(), bucket->end(), kLaterFirst);
-        sorted_bucket_ = base_;
-      }
-      while (!bucket->empty() && !node(bucket->back().slot).armed) {
-        releaseNode(bucket->back().slot);
-        bucket->pop_back();
-        --wheel_count_;
-        ++dropped_tombstones_;
-      }
-      if (!bucket->empty()) break;
-      bucket = nullptr;
-      ++base_;
-    }
-    if (bucket == nullptr) {
-      if (overflow_.empty()) break;  // queue exhausted
-      const QEntry entry = overflow_.front();
-      if (entry.when > until) break;
-      // All activity lives beyond the horizon; jump the cursor so future
-      // enqueues near this time land in the wheel again.
-      const std::uint64_t idx =
-          static_cast<std::uint64_t>(entry.when) >> kBucketShift;
-      if (idx > base_) base_ = idx;
-      heapPop(overflow_);
-      fire(entry);
-      continue;
-    }
-    const QEntry wheel_top = bucket->back();
-    if (!overflow_.empty() && overflow_.front().firesBefore(wheel_top)) {
-      const QEntry entry = overflow_.front();
-      if (entry.when > until) break;
-      heapPop(overflow_);
-      fire(entry);
-      continue;
-    }
-    if (wheel_top.when > until) break;
-    bucket->pop_back();
-    --wheel_count_;
+  while (nextSerial(until)) {
+    const QEntry entry = queue_.near.back();
+    queue_.near.pop_back();
     // Warm the next victim's node line while this callback runs.
-    if (!bucket->empty()) __builtin_prefetch(&node(bucket->back().slot));
-    fire(wheel_top);
+    if (!queue_.near.empty()) {
+      __builtin_prefetch(&node(queue_.near.back().slot));
+    }
+    fire(entry);
   }
   cur_shard_ = 0;
   cur_key_ = 0;
@@ -573,29 +504,17 @@ SimTime Engine::run(SimTime until) {
 // ---------------------------------------------------------------------------
 
 void Engine::distributeToShards() {
-  std::vector<QEntry> pending;
-  pending.reserve(wheel_count_ + overflow_.size());
-  for (auto& bucket : buckets_) {
-    pending.insert(pending.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  wheel_count_ = 0;
-  sorted_bucket_ = UINT64_MAX;
-  pending.insert(pending.end(), overflow_.begin(), overflow_.end());
-  overflow_.clear();
-
+  const std::vector<QEntry> pending = takeAll(queue_);
   std::size_t nshards = 1;
   for (const QEntry& e : pending) {
     nshards = std::max(nshards, static_cast<std::size_t>(keyShard(e.key)) + 1);
   }
   // shard_qs_ survives between runs so its vectors keep their capacity;
   // between windows every entry lives in `far` (near drains to empty by
-  // construction), so distribution only touches the far heaps.
+  // construction), so distribution only touches the far buckets.
   if (shard_qs_.size() < nshards) shard_qs_.resize(nshards);
   if (shard_seq_.size() < nshards) shard_seq_.resize(nshards, 1);
-  for (const QEntry& e : pending) {
-    heapPush(shard_qs_[keyShard(e.key)].far, e);
-  }
+  for (const QEntry& e : pending) farPush(shard_qs_[keyShard(e.key)], e);
 }
 
 // Bounded spin before yielding: long enough to catch a near-simultaneous
@@ -664,31 +583,11 @@ void Engine::drainWindow(detail::ExecContext& ctx, SimTime window_end) {
          s < shard_qs_.size(); s += stride) {
       ShardQueue& sq = shard_qs_[s];
       ctx.queue = &sq;
-      // Window prep: move matured far entries into the near vector (dead
-      // ones recycle straight into this worker's arena) and sort it once,
-      // descending, so the drain below is pop_back off the tail.  Intra-
-      // window arrivals keep the order via sorted insert in finishSchedule.
-      while (!sq.far.empty() && sq.far.front().when < window_end) {
-        const QEntry e = sq.far.front();
-        heapPop(sq.far);
-        if (!node(e.slot).armed) {
-          ++node(e.slot).gen;
-          ctx.free.push_back(e.slot);
-          ++ctx.dropped;
-          continue;
-        }
-        sq.near.push_back(e);
-      }
-      std::sort(sq.near.begin(), sq.near.end(), kLaterFirst);
-      while (!sq.near.empty()) {
+      refill(sq, window_end);
+      // Cancelled entries recycle straight into this worker's arena.
+      while (liveNear(sq, ctx.free, ctx.dropped)) {
         const QEntry entry = sq.near.back();
         sq.near.pop_back();
-        if (!node(entry.slot).armed) {
-          ++node(entry.slot).gen;
-          ctx.free.push_back(entry.slot);
-          ++ctx.dropped;
-          continue;
-        }
         fireCtx(ctx, entry);
       }
       // Invariant on exit: near is empty — between barriers every pending
@@ -756,8 +655,8 @@ void Engine::mergeWindow() {
     n.shard = r.dest;
     n.fn = std::move(r.h->cb);
     ++live_;
-    heapPush(shard_qs_[r.dest].far,
-             QEntry{r.h->when, makeKey(r.dest, true, handoff_seq_++), slot});
+    farPush(shard_qs_[r.dest],
+            QEntry{r.h->when, makeKey(r.dest, true, handoff_seq_++), slot});
   }
   for (auto& cp : ctxs_) {
     for (ShardId dest : cp->outbound_touched) {
@@ -797,14 +696,11 @@ void Engine::finishParallel() {
     cp->free.clear();
   }
   // Events beyond `until` (and any remaining tombstones) return to the
-  // global calendar so a later run — serial or parallel — continues them.
+  // serial queue so a later run — serial or parallel — continues them.
   // `near` is normally empty here; it only holds entries after an abort
   // mid-window, and those must survive too.
   for (auto& sq : shard_qs_) {
-    for (const QEntry& e : sq.near) enqueue(e);
-    sq.near.clear();
-    for (const QEntry& e : sq.far) enqueue(e);
-    sq.far.clear();
+    for (const QEntry& e : takeAll(sq)) farPush(queue_, e);
   }
   ctxs_.clear();
   par_active_ = false;
@@ -870,21 +766,15 @@ SimTime Engine::run(const ParallelPolicy& policy, SimTime until) {
   try {
 #endif
     for (;;) {
-      // Earliest pending event across shards (dropping dead heap tops).
-      // Between barriers everything sits in the far heaps; near is empty.
+      // Earliest pending event across shards; between barriers everything
+      // sits in far.  A cancelled minimum only opens an empty window, whose
+      // drain reclaims it.
       SimTime tmin = INT64_MAX;
       bool any = false;
-      for (auto& sq : shard_qs_) {
-        auto& heap = sq.far;
-        while (!heap.empty() && !node(heap.front().slot).armed) {
-          releaseNode(heap.front().slot);
-          heapPop(heap);
-          ++dropped_tombstones_;
-        }
-        if (!heap.empty()) {
-          any = true;
-          tmin = std::min(tmin, heap.front().when);
-        }
+      for (const auto& sq : shard_qs_) {
+        if (sq.occupied == 0) continue;
+        any = true;
+        tmin = std::min(tmin, farMin(sq));
       }
       if (!any || tmin > until) break;
 

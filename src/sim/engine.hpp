@@ -11,14 +11,12 @@
 //    reproducibility on any host, including the 1-core build machines.
 //  * Ties are broken by insertion order (a monotonically increasing sequence
 //    number), never by pointer values, so runs are deterministic.
-//  * The pending set is a two-level calendar queue: near-future events live
-//    in a wheel of fixed-width buckets indexed by (when >> kBucketShift);
-//    events beyond the wheel horizon go to an overflow heap and are compared
-//    against the wheel cursor on every pop.  Buckets are plain vectors:
-//    enqueue is push_back, and the bucket is sorted by (when, key) exactly
-//    once, when the cursor first reaches it, after which draining is
-//    pop_back.  Late arrivals into the already-sorted current bucket (a
-//    callback scheduling within the same ~2 us window) use a sorted insert.
+//  * One pending-event structure serves every run mode: a ShardQueue split
+//    into `near`, the open time window sorted once so draining is
+//    pop_back, and `far`, a radix heap of everything at or past the window
+//    end.  Serial runs keep one such queue for all shards and drain it one
+//    kSerialWindow at a time; parallel runs give every shard its own and
+//    drain up to each global barrier.
 //  * Event nodes are pooled and reused; the callback lives in a
 //    small-buffer-optimized slot inside the node, so the common
 //    at/after/cancel/run cycle performs zero heap allocations for callables
@@ -36,16 +34,16 @@
 //      (when, shard, band, seq)
 //
 //  packed into a single 64-bit key: 16 bits of shard, one "handoff band"
-//  bit, and a 47-bit per-shard sequence number.  The classic run() pops in
-//  exactly that order; run(ParallelPolicy) drains each shard on a worker
-//  pool up to the next global barrier (a slice/microphase boundary) and
-//  merges cross-shard effects at the barrier in the same order — so traces,
-//  stats and RNG streams are byte-identical between the two modes.  Shards
-//  may only interact through handoff(), which targets a time at or past the
+//  bit, and a 47-bit per-shard sequence number.  run() pops in exactly
+//  that order; run(ParallelPolicy) drains each shard on a worker pool up to
+//  the next global barrier (a slice/microphase boundary) and merges
+//  cross-shard effects at the barrier in the same order — so traces, stats
+//  and RNG streams are byte-identical between the two modes.  Shards may
+//  only interact through handoff(), which targets a time at or past the
 //  next barrier (the conservative-window lookahead the BCS time slice makes
-//  explicit).  The serial path is the reference implementation; the
-//  parallel mode is opt-in per run() call.
+//  explicit).  The parallel mode is opt-in per run() call.
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -455,17 +453,14 @@ class Engine {
   /// another worker appends a chunk under chunk_mu_.
   static constexpr std::size_t kMaxChunks = 4096;
 
-  // 2^11 ns (~2 us) buckets; 2048 of them give an ~4.2 ms horizon, over 8
-  // default time slices.  Anything further lands in the overflow heap.
-  // Narrow buckets keep per-bucket sorts small (the sort is the dominant
-  // drain cost); the horizon only has to cover the densely-populated near
-  // future, since far-future timers are cheap in the overflow heap.
-  static constexpr int kBucketShift = 11;
-  static constexpr std::uint64_t kNumBuckets = 2048;
-  static constexpr std::uint64_t kBucketMask = kNumBuckets - 1;
+  /// Width of a serial drain window: far entries due inside it move to
+  /// `near` and are sorted once.  Wide enough that few far buckets need
+  /// re-basing per event, narrow enough that the sort and the sorted
+  /// inserts of same-window arrivals stay short.
+  static constexpr Duration kSerialWindow = usec(32);
 
   /// Queue entry: the ordering key is carried alongside the slot index so
-  /// sorting and heap sifts stay inside the (hot, contiguous) queue arrays
+  /// sorting and bucket moves stay inside the (hot, contiguous) queue arrays
   /// and never chase into the node pool.  `key` packs
   /// (shard, handoff band, per-shard seq) — see the header comment — so a
   /// single integer compare realizes the canonical total order; shard-0
@@ -499,29 +494,51 @@ class Engine {
   EventId finishSchedule(const Prep& p, SimTime when);
   void handoffImpl(ShardId shard, SimTime when, EventCallback cb);
   SimTime nowParallel() const;
-  void enqueue(QEntry entry);
-  /// Locates the earliest live event without removing it, dropping any
-  /// tombstones in the way.  Returns false when no live event remains.
-  bool peekNext(QEntry& entry, bool& from_overflow);
-  void extract(bool from_overflow);
   void fire(const QEntry& entry);
-  static void heapPush(std::vector<QEntry>& heap, QEntry entry);
-  static void heapPop(std::vector<QEntry>& heap);
 
-  /// Per-shard pending set during a parallel run.  Split in two so the hot
-  /// within-window drain never pays heap discipline: `near` holds the
-  /// current window's events sorted descending by (when, key) — back() is
-  /// the earliest, drain is pop_back, and intra-window arrivals use a
-  /// sorted insert (the calendar queue's late-arrival move) — while `far`
-  /// is a plain min-heap of everything at or past the window end (retry
-  /// timers, next-slice work).  Each worker owns its shards' queues for the
-  /// whole window; alignas(64) keeps neighbouring shards' headers off each
-  /// other's cache lines (the vector headers were the false-sharing suspect
-  /// in the flat shard_heaps_ layout this replaces).
+  /// The pending set, serial and parallel alike, split in two so the hot
+  /// drain never pays priority-queue discipline.  `near` holds the open
+  /// window's events sorted descending by (when, key): back() is the
+  /// earliest, drain is pop_back, and arrivals inside the window use a
+  /// sorted insert.  `far` holds everything at or past `end` (retry timers,
+  /// next-slice work) as a monotone radix heap keyed by time: bucket 0 holds
+  /// the entries at `base`, bucket b > 0 those whose time first differs from
+  /// `base` in bit b-1, so bucket b spans one aligned 2^(b-1) ns block and
+  /// blocks rise with b.  A push is an append; opening a window moves the
+  /// buckets below its end into near wholesale and re-bases only the one
+  /// bucket that straddles the end, spreading it over lower buckets.
+  /// Invariants: base <= end, base <= every far entry, and far entries
+  /// pushed while a window is open lie at or past its end.  Cancelled
+  /// entries stay queued until the drain pops them (droppedTombstones()).
+  /// In a parallel run each worker owns its shards' queues for the whole
+  /// window; alignas(64) keeps neighbouring shards' headers off each
+  /// other's cache lines.
   struct alignas(64) ShardQueue {
-    std::vector<QEntry> near;  ///< current window, sorted desc, drain=pop_back
-    std::vector<QEntry> far;   ///< min-heap of events at/past the window end
+    std::vector<QEntry> near;  ///< open window, sorted desc, drain=pop_back
+    std::array<std::vector<QEntry>, 64> far;  ///< radix buckets off `base`
+    std::uint64_t occupied = 0;  ///< bit b set iff far[b] is non-empty
+    SimTime base = 0;            ///< radix origin, <= every far entry
+    SimTime end = 0;             ///< open window's end; 0 = none open
   };
+
+  static void enqueue(ShardQueue& q, QEntry entry);
+  static void farPush(ShardQueue& q, QEntry entry);
+  /// Time of the earliest far entry, cancelled ones included.  Far must
+  /// not be empty.
+  static SimTime farMin(const ShardQueue& q);
+  /// Empties `q`, both halves, and resets its window and radix origin.
+  static std::vector<QEntry> takeAll(ShardQueue& q);
+  /// Opens the window ending at `end`: moves every far entry due before it
+  /// into near and sorts near.  Cancelled entries ride along until
+  /// liveNear() reaches them.
+  static void refill(ShardQueue& q, SimTime end);
+  /// Returns the slots of near's cancelled tail to `free`, counting them in
+  /// `dropped`; true when a live entry is left.
+  bool liveNear(ShardQueue& q, std::vector<std::uint32_t>& free,
+                std::uint64_t& dropped);
+  /// Leaves the earliest live serial event at queue_.near.back() and
+  /// returns true if it fires at or before `until`.
+  bool nextSerial(SimTime until);
 
   // ----- parallel driver (engine.cpp) -----
   void distributeToShards();
@@ -555,16 +572,9 @@ class Engine {
   std::vector<std::uint32_t> free_;  ///< reusable slots, LIFO
   std::mutex chunk_mu_;  ///< guards chunk growth during parallel windows
 
-  std::uint64_t base_ = 0;  ///< absolute bucket index of the wheel cursor
-  /// Absolute index of the bucket sorted for draining (only ever the one at
-  /// the cursor); UINT64_MAX when none.  base_ is monotone, so a stale value
-  /// can never collide with a future bucket index.
-  std::uint64_t sorted_bucket_ = UINT64_MAX;
-  std::size_t wheel_count_ = 0;  ///< entries in the wheel (incl. tombstones)
-  /// Per-bucket entry lists; the bucket at sorted_bucket_ is sorted
-  /// descending by (when, key) so back() is the earliest entry.
-  std::vector<std::vector<QEntry>> buckets_;
-  std::vector<QEntry> overflow_;  ///< beyond-horizon min-heap
+  /// Serial pending set, all shards in one queue.  Empty during a
+  /// parallel run, which moves its entries into shard_qs_ and back.
+  ShardQueue queue_;
 
   // ----- parallel-run state (live only inside run(ParallelPolicy)) -----
   bool par_active_ = false;
@@ -584,7 +594,7 @@ class Engine {
   alignas(64) std::atomic<bool> par_quit_{false};
   SimTime window_end_ = 0;  ///< published via the window_gen_ release/acquire
 
-  /// Snapshot serializer (src/snapshot): warps now_/base_ and restores the
+  /// Snapshot serializer (src/snapshot): warps now_ and restores the
   /// seq counters so a restored run draws identical event keys.  Pending
   /// events are never serialized — restore re-arms them logically.
   friend class bcs::snapshot::StateIO;

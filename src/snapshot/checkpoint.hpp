@@ -6,8 +6,8 @@
 // At a slice boundary the global communication state is known by
 // construction — every transfer of the previous slice has completed, no
 // packet is in flight — so a full-state snapshot needs no marker algorithm
-// or message draining: it is a pure serialization of calendar, NIC queues,
-// RNG streams and membership books.  capture() produces a versioned,
+// or message draining: it is a pure serialization of engine clock and
+// sequence counters, NIC queues, RNG streams and membership books.  capture() produces a versioned,
 // checksummed blob (format.hpp); restore() rebuilds a *fresh* simulation
 // from the same ScenarioSpec and the blob, and the continuation is
 // byte-identical to the uninterrupted run (pinned against the golden-trace

@@ -801,8 +801,6 @@ void StateIO::restoreAll(Simulation& sim, const SnapshotReader& r) {
     Decoder d(raw, "engine");
     eng.now_ = d.i64();
     if (eng.now_ != now) d.fail("engine clock disagrees with meta");
-    eng.base_ = static_cast<std::uint64_t>(eng.now_) >>
-                sim::Engine::kBucketShift;
     const std::uint32_t nshards = d.u32();
     eng.shard_seq_.assign(nshards, 0);
     for (std::uint64_t& s : eng.shard_seq_) s = d.u64();

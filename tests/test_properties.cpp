@@ -7,12 +7,15 @@
 //  * fabric endpoint contention conserves bytes (no transfer finishes
 //    faster than the serialization bound) across all network presets;
 //  * randomized message soups deliver every byte intact under both
-//    implementations for many (seed, size) combinations.
+//    implementations for many (seed, size) combinations;
+//  * the serial engine fires a randomized schedule/cancel/handoff mix in
+//    canonical order across its drain-window boundaries.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <numeric>
 #include <tuple>
 #include <utility>
@@ -23,6 +26,7 @@
 #include "bcsmpi/comm.hpp"
 #include "bcsmpi/matching.hpp"
 #include "net/cluster.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 
@@ -562,5 +566,155 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "bp_ramp" +
              std::to_string(std::get<2>(info.param));
     });
+
+// ---- serial engine firing order across drain-window boundaries ----
+
+// The serial engine drains its pending set one 32 us window at a time
+// (Engine::kSerialWindow): a sorted `near` vector for the open window, a
+// `far` radix heap of power-of-two time blocks beyond it.  A seeded mix of
+// at/after/cancel, atOn onto other shards and handoff — from outside events
+// and from inside firing ones — interleaved with step() and run(until)
+// stopping mid-window, must fire in the canonical order (when, shard,
+// handoff band, insertion order).
+// The reference is a std::multimap keyed by (when, shard, band): equal keys
+// keep their insertion order, which is the per-shard sequence order.
+class SerialEngineOrder : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  using Key = std::tuple<sim::SimTime, sim::ShardId, int>;
+  using Ref = std::multimap<Key, int>;
+  static constexpr sim::Duration kWindow = usec(32);
+  static constexpr int kShards = 4;
+
+  sim::Engine eng_;
+  sim::Rng rng_{GetParam()};
+  Ref ref_;                             ///< pending events, canonical order
+  std::vector<Ref::iterator> where_;    ///< by id; ref_.end() once gone
+  std::vector<sim::EventId> handles_;   ///< by id; invalid for handoffs
+  std::uint64_t fired_ = 0;
+  std::uint64_t cancelled_ = 0;
+  int budget_ = 1500;                   ///< events left to schedule
+  std::string divergence_;              ///< first order mismatch, if any
+
+  /// A target time at, just inside, on or just past a window boundary, on
+  /// a 4096 ns block edge, or anywhere up to a few windows or milliseconds
+  /// out.
+  sim::SimTime pickWhen() {
+    const sim::SimTime now = eng_.now();
+    const sim::SimTime edge =
+        (now / kWindow + 1 + static_cast<sim::SimTime>(rng_.below(3))) *
+        kWindow;
+    switch (rng_.below(7)) {
+      case 0: return now;
+      case 1: return edge - 1;
+      case 2: return edge;
+      case 3: return edge + 1;
+      case 4: return ((now >> 12) + 1) << 12;
+      case 5: return now + static_cast<sim::SimTime>(rng_.below(4 * kWindow));
+      default: return now + static_cast<sim::SimTime>(rng_.below(msec(2)));
+    }
+  }
+
+  void schedule() {
+    if (budget_ <= 0) return;
+    --budget_;
+    const int id = static_cast<int>(where_.size());
+    auto cb = [this, id] { onFire(id); };
+    const sim::SimTime when = pickWhen();
+    const auto other = static_cast<sim::ShardId>(rng_.below(kShards));
+    sim::ShardId shard = eng_.currentShard();
+    int band = 0;
+    sim::EventId h{};
+    switch (rng_.below(4)) {
+      case 0: h = eng_.at(when, cb); break;
+      case 1: h = eng_.after(when - eng_.now(), cb); break;
+      case 2: h = eng_.atOn(shard = other, when, cb); break;
+      default:
+        eng_.handoff(shard = other, when, cb);
+        band = 1;
+        break;
+    }
+    where_.push_back(ref_.emplace(Key{when, shard, band}, id));
+    handles_.push_back(h);
+  }
+
+  void cancelOne() {
+    if (handles_.empty()) return;
+    const auto id = static_cast<std::size_t>(rng_.below(handles_.size()));
+    const bool live = where_[id] != ref_.end() && handles_[id].valid();
+    EXPECT_EQ(eng_.cancel(handles_[id]), live) << "event " << id;
+    if (live) {
+      ref_.erase(where_[id]);
+      where_[id] = ref_.end();
+      ++cancelled_;
+    }
+  }
+
+  void act() {
+    for (int n = static_cast<int>(rng_.below(3)); n > 0; --n) schedule();
+    if (rng_.below(4) == 0) cancelOne();
+  }
+
+  void onFire(int id) {
+    if (!divergence_.empty()) return;  // report the first mismatch only
+    const auto top = ref_.begin();
+    if (top == ref_.end() || top->second != id ||
+        eng_.now() != std::get<0>(top->first) ||
+        eng_.currentShard() != std::get<1>(top->first)) {
+      const std::string expected =
+          top == ref_.end() ? "none" : "event " + std::to_string(top->second);
+      divergence_ = "event " + std::to_string(id) + " fired at " +
+                    sim::formatTime(eng_.now()) + "; expected " + expected;
+      return;
+    }
+    ref_.erase(top);
+    where_[static_cast<std::size_t>(id)] = ref_.end();
+    ++fired_;
+    act();
+  }
+
+  void expectCounters() {
+    EXPECT_EQ(eng_.pendingEvents(), ref_.size());
+    EXPECT_EQ(eng_.executedEvents(), fired_);
+    EXPECT_EQ(eng_.cancelledEvents(), cancelled_);
+  }
+};
+
+TEST_P(SerialEngineOrder, FiresInCanonicalOrderAcrossWindows) {
+  for (int round = 0; round < 200 && divergence_.empty(); ++round) {
+    switch (rng_.below(4)) {
+      case 0:
+        act();
+        break;
+      case 1:
+        EXPECT_EQ(eng_.step(), !ref_.empty());
+        break;
+      case 2: {
+        // Stop somewhere inside a window a few windows out.
+        const sim::SimTime until =
+            (eng_.now() / kWindow + static_cast<sim::SimTime>(rng_.below(3))) *
+                kWindow +
+            static_cast<sim::SimTime>(rng_.below(kWindow));
+        if (until < eng_.now()) break;
+        EXPECT_EQ(eng_.run(until), until);
+        EXPECT_TRUE(ref_.empty() || std::get<0>(ref_.begin()->first) > until);
+        break;
+      }
+      default:
+        cancelOne();
+        break;
+    }
+    expectCounters();
+  }
+  eng_.run();
+  EXPECT_EQ(divergence_, "");
+  EXPECT_TRUE(ref_.empty());
+  expectCounters();
+  EXPECT_GT(fired_, 100u);
+  EXPECT_GT(cancelled_, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SerialEngineOrder,
+                         ::testing::Values(1u, 2u, 3u, 17u, 99u, 2024u, 31337u,
+                                           65537u));
 
 }  // namespace

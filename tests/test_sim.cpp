@@ -6,6 +6,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -111,14 +112,14 @@ TEST(Engine, StepExecutesExactlyOne) {
   EXPECT_EQ(count, 2);
 }
 
-// The calendar queue places events ~4 us apart in different wheel buckets
-// and same-instant events in the same bucket heap; ordering must come out
+// Events straddling power-of-two time boundaries land in different far
+// buckets and same-instant events in the same one; ordering must come out
 // by (time, insertion) regardless of bucket placement.
 TEST(Engine, CalendarTieOrderAcrossBucketBoundaries) {
   Engine eng;
   std::vector<int> order;
-  // Interleave insertions across three bucket-straddling times, plus exact
-  // ties at a bucket edge (4096 ns is the first bucket boundary).
+  // Interleave insertions across three boundary-straddling times, plus
+  // exact ties at a boundary (4096 ns = 2^12).
   eng.at(nsec(4097), [&] { order.push_back(3); });
   eng.at(nsec(4095), [&] { order.push_back(1); });
   eng.at(nsec(4096), [&] { order.push_back(2); });
@@ -129,13 +130,13 @@ TEST(Engine, CalendarTieOrderAcrossBucketBoundaries) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
 
-// After the wheel cursor has advanced far beyond one full lap, a slot index
-// is reused by a much later bucket; events and cancellations must still
-// resolve against the right occupants.
+// After the clock has advanced far beyond many drain windows, a pooled
+// node slot is reused by a much later event; events and cancellations must
+// still resolve against the right occupants.
 TEST(Engine, CancelAfterWheelRollover) {
   Engine eng;
   int fired = 0;
-  // Advance well past one wheel lap (2048 buckets * 4096 ns ≈ 8.4 ms).
+  // Advance well past hundreds of 32 us drain windows.
   eng.at(msec(20), [&] { ++fired; });
   eng.run();
   ASSERT_EQ(fired, 1);
@@ -151,18 +152,18 @@ TEST(Engine, CancelAfterWheelRollover) {
   EXPECT_FALSE(eng.cancel(fresh));  // already fired
 }
 
-// Events beyond the wheel horizon land in the overflow heap; they must
-// interleave correctly with near-future events and with events scheduled
-// after the cursor has jumped forward.
+// Events seconds apart sit in high far buckets; they must interleave
+// correctly with near-future events and with events scheduled after the
+// clock has jumped forward.
 TEST(Engine, FarFutureOverflowOrdering) {
   Engine eng;
   std::vector<int> order;
-  eng.at(sec(2), [&] { order.push_back(4); });     // far overflow
-  eng.at(usec(5), [&] { order.push_back(1); });    // wheel
-  eng.at(msec(500), [&] { order.push_back(3); });  // overflow
-  eng.at(msec(1), [&] { order.push_back(2); });    // wheel
+  eng.at(sec(2), [&] { order.push_back(4); });     // far future
+  eng.at(usec(5), [&] { order.push_back(1); });    // first window
+  eng.at(msec(500), [&] { order.push_back(3); });  // far future
+  eng.at(msec(1), [&] { order.push_back(2); });    // near future
   // From the 500 ms event, schedule near-future work that must precede the
-  // 2 s overflow event even though the cursor just jumped.
+  // 2 s event even though the clock just jumped.
   eng.at(msec(500), [&] {
     eng.after(usec(10), [&] { order.push_back(35); });
   });
@@ -578,12 +579,15 @@ TEST(TimeFormat, HumanReadable) {
 
 /// Drives `kShards` event chains of `rounds` rounds each through a parallel
 /// run and returns the engine's final pool-slot count.
+/// Each shard counts into its own slot (shards really run concurrently);
+/// the slots are summed after the run.
 std::uint32_t runChains(Engine& eng, int shards, int rounds, int threads) {
   auto step = std::make_shared<std::function<void(int, int)>>();
   auto* stepp = step.get();
-  auto count = std::make_shared<int>(0);
-  *step = [&eng, stepp, count, rounds](int s, int round) {
-    ++*count;
+  auto counts =
+      std::make_shared<std::vector<int>>(static_cast<std::size_t>(shards), 0);
+  *step = [&eng, stepp, counts, rounds](int s, int round) {
+    ++(*counts)[static_cast<std::size_t>(s)];
     if (round + 1 < rounds) {
       eng.at(eng.now() + usec(7), [stepp, s, round] { (*stepp)(s, round + 1); });
     }
@@ -597,7 +601,8 @@ std::uint32_t runChains(Engine& eng, int shards, int rounds, int threads) {
   policy.threads = threads;
   policy.clamp_to_hardware = false;
   eng.run(policy);
-  EXPECT_EQ(*count, shards * rounds);
+  EXPECT_EQ(std::accumulate(counts->begin(), counts->end(), 0),
+            shards * rounds);
   return eng.poolSlots();
 }
 
@@ -624,16 +629,17 @@ TEST(Arena, ExhaustionGrowsChunkTable) {
   // Thousands of simultaneously-live events force the node pool through its
   // chunk-growth path mid-parallel-run; every event must still fire.
   Engine eng;
-  auto count = std::make_shared<int>(0);
+  auto counts = std::make_shared<std::array<int, 2>>();  // one per shard
   constexpr int kLive = 5000;
   for (int i = 0; i < kLive; ++i) {
-    eng.atOn(static_cast<ShardId>(i % 2), usec(1) + i, [count] { ++*count; });
+    eng.atOn(static_cast<ShardId>(i % 2), usec(1) + i,
+             [counts, s = i % 2] { ++(*counts)[static_cast<std::size_t>(s)]; });
   }
   ParallelPolicy policy;
   policy.threads = 2;
   policy.clamp_to_hardware = false;
   eng.run(policy);
-  EXPECT_EQ(*count, kLive);
+  EXPECT_EQ((*counts)[0] + (*counts)[1], kLive);
   EXPECT_GE(eng.poolSlots(), static_cast<std::uint32_t>(kLive));
 }
 
