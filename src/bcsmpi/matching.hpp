@@ -68,6 +68,8 @@ struct EnvelopeHash {
 /// send matching a concrete receive is an O(1) bucket lookup.
 class SendMatchIndex {
  public:
+  using value_type = SendDescriptor;
+
   void insert(const SendDescriptor& s) {
     auto& bucket = buckets_[keyOf(s)];
     // Keep each bucket sorted by seq.  Descriptors normally arrive in seq
@@ -175,6 +177,8 @@ class SendMatchIndex {
 /// seq-ordered side-list since they can pair with any arriving send.
 class RecvMatchIndex {
  public:
+  using value_type = RecvDescriptor;
+
   void insert(const RecvDescriptor& r) {
     if (isWildcard(r)) {
       wildcards_.insert(

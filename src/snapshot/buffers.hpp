@@ -74,40 +74,30 @@ class BufferRegistry {
                         "unknown buffer id " + std::to_string(ref.id));
   }
 
-  void saveRef(Encoder& e, const std::byte* p) const {
-    const BufRef r = refOf(p);
-    e.u32(r.id);
-    e.u64(r.offset);
-  }
-  std::byte* loadRef(Decoder& d) const {
-    BufRef r;
-    r.id = d.u32();
-    r.offset = d.u64();
-    return resolve(r);
+  /// Swizzles one pointer field: (buffer id, offset) on the wire, resolved
+  /// against this registry on load.
+  template <class Ar, class T>
+  void ref(Ar& ar, T*& p) const {
+    BufRef r = Ar::kLoading ? BufRef{} : refOf(p);
+    ar(r.id, r.offset);
+    if constexpr (Ar::kLoading) p = resolve(r);
   }
 
-  void saveContents(Encoder& e) const {
-    e.u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const Entry& ent : entries_) {
-      e.u32(ent.id);
-      e.u64(ent.size);
-      e.bytes(ent.data, ent.size);
-    }
-  }
-  void restoreContents(Decoder& d) {
-    const std::uint32_t n = d.u32();
-    if (n != entries_.size()) {
-      d.fail("buffer count " + std::to_string(n) + " != registered " +
-             std::to_string(entries_.size()));
-    }
-    for (Entry& ent : entries_) {
-      const std::uint32_t id = d.u32();
-      const std::uint64_t size = d.u64();
-      if (id != ent.id || size != ent.size) {
-        d.fail("buffer " + std::to_string(ent.id) + " shape mismatch");
+  /// Buffer contents, in registration order.  The fresh registry must hold
+  /// the same buffers (same ids, same sizes).
+  template <class Ar>
+  void contents(Ar& ar) {
+    fixed(ar, entries_, "buffer", [&ar](Entry& ent) {
+      std::uint32_t id = ent.id;
+      std::uint64_t size = ent.size;
+      ar(id, size);
+      if constexpr (Ar::kLoading) {
+        if (id != ent.id || size != ent.size) {
+          ar.fail("buffer " + std::to_string(ent.id) + " shape mismatch");
+        }
       }
-      d.bytes(ent.data, ent.size);
-    }
+      ar.bytes(ent.data, ent.size);
+    });
   }
 
  private:

@@ -9,6 +9,13 @@
 // keeps the snapshot surface out of each class's contract — the serializer
 // versions with the repo, not with callers.
 //
+// Each serialized struct's fields are listed once, in one io(ar, x)
+// description that an Encoder runs to save and a Decoder runs to load
+// (wire.hpp), and the sections are one list of (name, body) pairs that
+// saveAll and restoreAll both walk.  A new field is one line in its io();
+// the static_asserts on the stats structs fail the build until a new
+// counter is added to its list.
+//
 // Pending engine events are never serialized (they are closures).  Capture
 // records each timer's *logical* deadline (watchdog_at, next_round_at_,
 // inspect_at_, next_tick_at); restore warps the fresh engine's clock to the
@@ -43,20 +50,9 @@ class StateIO {
   static void restoreAll(Simulation& sim, const SnapshotReader& r);
 
  private:
-  // Per-subsystem (de)serializers.  Static members rather than file-local
-  // helpers because friendship is granted to StateIO, not to free functions.
-  static void saveCore(Encoder& e, const core::BcsCore& c);
-  static void restoreCore(Decoder& d, core::BcsCore& c);
-  static void saveStorm(Encoder& e, const storm::Storm& st);
-  static void restoreStorm(Decoder& d, storm::Storm& st);
-  static void saveVerifier(Encoder& e, const verify::Verifier& v);
-  static void restoreVerifier(Decoder& d, verify::Verifier& v);
-  static void saveRuntime(Encoder& e, const bcsmpi::Runtime& rt,
-                          const BufferRegistry& reg);
-  static void restoreRuntime(Decoder& d, bcsmpi::Runtime& rt,
-                             const BufferRegistry& reg);
-  static void saveWorkload(Encoder& e, const DetachedRing& wl);
-  static void restoreWorkload(Decoder& d, DetachedRing& wl);
+  /// The io() descriptions and the section list (state_io.cpp).  A nested
+  /// class shares StateIO's friendship, so no description is declared here.
+  struct Io;
 };
 
 }  // namespace bcs::snapshot
