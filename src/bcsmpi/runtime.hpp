@@ -138,6 +138,7 @@ struct RuntimeStats {
   /// Prefer Runtime::resetStats, which preserves structural gauges like
   /// tree_levels across the reset.
   void reset() { *this = RuntimeStats{}; }
+  bool operator==(const RuntimeStats&) const = default;
 };
 
 class Runtime {

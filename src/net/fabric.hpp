@@ -68,6 +68,7 @@ struct FabricStats {
 
   /// Zeroes every counter (interval measurements around a workload).
   void reset() { *this = FabricStats{}; }
+  bool operator==(const FabricStats&) const = default;
 };
 
 /// Per-send options for unicast.  Default-constructed == the historical

@@ -100,6 +100,7 @@ struct FaultStats {
 
   /// Zeroes every counter (interval measurements around a workload).
   void reset() { *this = FaultStats{}; }
+  bool operator==(const FaultStats&) const = default;
 };
 
 /// Turns a FaultPlan into deterministic per-packet decisions.  One instance

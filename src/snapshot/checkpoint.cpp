@@ -61,6 +61,9 @@ std::uint64_t fingerprintConfig(const ScenarioSpec& spec) {
   mix(static_cast<std::uint64_t>(m.max_descriptor_retries));
   mix(static_cast<std::uint64_t>(m.nic_desc_processing));
   mix(static_cast<std::uint64_t>(m.nic_match_cost));
+  mix(static_cast<std::uint64_t>(m.rma_op_bytes));
+  mix(static_cast<std::uint64_t>(m.nic_rma_op_cost));
+  mix(m.rma_coalescing ? 1 : 0);
   mix(static_cast<std::uint64_t>(m.chunk_bytes));
   mix(static_cast<std::uint64_t>(m.slice_byte_budget));
   mix(static_cast<std::uint64_t>(m.nic_reduce_per_element));
