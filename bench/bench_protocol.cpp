@@ -5,6 +5,7 @@
 //   * NIC (softfloat) reduce vs host reduce latency vs element count
 
 #include <cstdio>
+#include <string_view>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -90,9 +91,10 @@ void demMsmBudget(const HarnessConfig& h) {
   sim::Accumulator acc;
   sim::SimTime dem_at = -1;
   for (const auto& r : cluster.trace().records()) {
-    if (r.category != sim::TraceCategory::kStrobe) continue;
-    if (r.message.find("DEM") != std::string::npos) dem_at = r.time;
-    if (r.message.find("P2P") != std::string::npos && dem_at >= 0) {
+    if (r.kind != &bcsmpi::trace::kMicrostrobe) continue;
+    const std::string_view phase = r.name;
+    if (phase == bcsmpi::phaseName(bcsmpi::Phase::kDem)) dem_at = r.time;
+    if (phase == bcsmpi::phaseName(bcsmpi::Phase::kP2p) && dem_at >= 0) {
       acc.add(sim::toUsec(r.time - dem_at));
       dem_at = -1;
     }

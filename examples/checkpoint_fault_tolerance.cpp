@@ -61,7 +61,6 @@ int main() {
                 blob.size());
   });
   live.cluster->run(sim::msec(12));  // "crash": the process stops here
-  const std::string live_trace = live.cluster->trace().dump();
   std::printf("\nrun killed at 12 ms with %llu checkpoint(s) taken\n",
               static_cast<unsigned long long>(
                   live.runtime->stats().checkpoints_taken));
@@ -76,9 +75,9 @@ int main() {
   // --- Restore into a fresh stack and continue ---------------------------
   Simulation resumed = snapshot::restore(spec, blob);
   resumed.cluster->run(horizon);
-  const std::uint64_t prefix = snapshot::traceDumpBytesAt(blob);
+  const std::uint64_t prefix = snapshot::traceRecordsAt(blob);
   const std::string spliced =
-      live_trace.substr(0, static_cast<std::size_t>(prefix)) +
+      live.cluster->trace().dump(static_cast<std::size_t>(prefix)) +
       resumed.cluster->trace().dump();
   std::printf("restored from slice %llu into a fresh process: spliced trace "
               "%s the uninterrupted run's (%zu bytes)\n",

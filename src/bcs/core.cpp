@@ -145,12 +145,7 @@ void BcsCore::testEventBlocking(sim::Process& proc, GlobalEventId ev) {
 }
 
 void BcsCore::xferAndSignal(XferRequest req) {
-  if (trace_) {
-    trace_->record(fabric_.engine().now(), sim::TraceCategory::kBcsCore,
-                   req.src_node,
-                   "Xfer-And-Signal " + std::to_string(req.bytes) + "B to " +
-                       std::to_string(req.dest_nodes.size()) + " node(s)");
-  }
+  record(trace::kXferAndSignal, req.src_node, req.bytes, req.dest_nodes.size());
   if (req.dest_nodes.empty()) {
     throw sim::SimError("Xfer-And-Signal: empty destination set");
   }
@@ -199,14 +194,9 @@ void BcsCore::compareAndWriteAsync(CompareAndWriteRequest req,
   if (req.nodes.empty()) {
     throw sim::SimError("Compare-And-Write: empty node set");
   }
-  if (trace_) {
-    trace_->record(fabric_.engine().now(), sim::TraceCategory::kBcsCore,
-                   req.src_node,
-                   "Compare-And-Write " + var_names_[static_cast<std::size_t>(req.var)] +
-                       " " + cmpOpName(req.op) + " " +
-                       std::to_string(req.value) + " on " +
-                       std::to_string(req.nodes.size()) + " node(s)");
-  }
+  record(trace::kCompareAndWrite, req.src_node,
+         var_names_[static_cast<std::size_t>(req.var)], cmpOpName(req.op),
+         req.value, req.nodes.size());
   auto st = std::make_shared<CompareAndWriteRequest>(std::move(req));
   fabric_.conditional(
       st->src_node, st->nodes,

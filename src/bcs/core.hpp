@@ -48,6 +48,14 @@ enum class CmpOp { kGE, kLT, kEQ, kNE };
 const char* cmpOpName(CmpOp op);
 bool cmpEval(CmpOp op, std::int64_t lhs, std::int64_t rhs);
 
+/// Trace record kinds (sim/trace.hpp) the core emits; the node is the issuer
+/// and a Compare-And-Write record's text is the variable's name.
+namespace trace {
+using enum sim::TraceCategory;
+inline constexpr sim::TraceKind kXferAndSignal{kBcsCore, "Xfer-And-Signal {}B to {} node(s)"};
+inline constexpr sim::TraceKind kCompareAndWrite{kBcsCore, "Compare-And-Write {m} {s} {} on {} node(s)"};
+}  // namespace trace
+
 /// Parameters of one Xfer-And-Signal invocation.
 struct XferRequest {
   int src_node = 0;
@@ -158,6 +166,11 @@ class BcsCore {
   void checkEvent(GlobalEventId ev) const;
   EventState& eventState(int node, GlobalEventId ev);
   const EventState& eventState(int node, GlobalEventId ev) const;
+  /// Records a trace entry now (a core built alone has no trace).
+  template <class... Args>
+  void record(const sim::TraceKind& kind, int node, const Args&... args) {
+    if (trace_) trace_->record(fabric_.engine().now(), kind, node, args...);
+  }
 
   net::Fabric& fabric_;
   sim::Trace* trace_;

@@ -101,13 +101,8 @@ void Runtime::executeBroadcast(int node, int job) {
   for (int n : js.nodes) {
     if (n != owner) dests.push_back(n);
   }
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kCollective,
-                   node,
-                   std::string("CH ") + collectiveTypeName(pc.type) +
-                       " gen " + std::to_string(pc.gen) + " to " +
-                       std::to_string(dests.size()) + " node(s)");
-  }
+  record(trace::kCollectiveHandler, node, collectiveTypeName(pc.type), pc.gen,
+         dests.size());
   if (dests.empty()) {
     // Single-node job: complete locally right away.
     finishCollectiveOnNode(owner, job, payload);
@@ -244,10 +239,7 @@ void Runtime::reduceSendUp(int node, int job) {
   const int parent = pc.parent_node;
   const Duration cost =
       static_cast<Duration>(pc.count) * config_.nic_reduce_per_element;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kCollective,
-                   node, "RH partial -> n" + std::to_string(parent));
-  }
+  record(trace::kReducePartial, node, parent);
   cluster_.engine().after(cost, [this, node, job, parent, snapshot] {
     core::XferRequest xfer;
     xfer.src_node = node;
@@ -273,13 +265,7 @@ void Runtime::reduceDeliverResult(int node, int job) {
     if (n != node) dests.push_back(n);
   }
   const bool carry_payload = pc.type == CollectiveType::kAllreduce;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kCollective,
-                   node,
-                   std::string("RH result ready (") +
-                       collectiveTypeName(pc.type) + " gen " +
-                       std::to_string(pc.gen) + ")");
-  }
+  record(trace::kReduceResult, node, collectiveTypeName(pc.type), pc.gen);
   if (dests.empty()) {
     finishCollectiveOnNode(node, job, result);
     opFinished(node);

@@ -32,7 +32,6 @@ Runtime::Runtime(net::Cluster& cluster, BcsMpiConfig config)
     : cluster_(cluster),
       config_(config),
       core_(cluster.fabric(), &cluster.trace()),
-      trace_(&cluster.trace()),
       nodes_(static_cast<std::size_t>(cluster.numComputeNodes())) {
   for (int n = 0; n < cluster.numComputeNodes(); ++n) {
     all_compute_nodes_.push_back(n);
@@ -52,11 +51,11 @@ Runtime::Runtime(net::Cluster& cluster, BcsMpiConfig config)
   stats_.tree_levels = static_cast<std::uint64_t>(sstree_.levels());
   if (config_.verify) {
     verifier_ = std::make_unique<verify::Verifier>(
-        trace_, config_.verify_max_findings);
+        &cluster.trace(), config_.verify_max_findings);
   }
   if (config_.race_detect) {
     race_ = std::make_unique<race::RaceDetector>(
-        cluster.engine(), trace_, config_.race_max_findings);
+        cluster.engine(), &cluster.trace(), config_.race_max_findings);
     cluster.fabric().setRaceDetector(race_.get());
     // The whole BCS control plane runs on shard 0 (see parallelPolicy), so
     // every runtime-owned object registers there.  Workloads that shard
@@ -406,14 +405,7 @@ void Runtime::failRequest(int job, int rank, std::uint64_t req, int peer,
   it->second.status.error = mpi::kErrPeerUnreachable;
   ++rs.requests_completed;
   ++stats_.requests_failed;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFault,
-                   rs.node,
-                   "request " + std::to_string(req) + " of j" +
-                       std::to_string(job) + "/r" + std::to_string(rank) +
-                       " failed: peer rank " + std::to_string(peer) +
-                       " unreachable");
-  }
+  record(trace::kRequestFailed, rs.node, req, job, rank, peer);
   if (nodeEvicted(rs.node)) return;
   if (it->second.spin_waited) {
     if (rs.proc) rs.proc->wake();
@@ -441,10 +433,7 @@ void Runtime::startSlice() {
     // The Strobe Sender's node is down: this slice is never strobed.  The
     // Strobe Receivers' slice watchdogs will notice the silence and elect a
     // backup, which resumes the strobe on the period grid.
-    if (trace_) {
-      trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                     strobe_node_, "Strobe Sender down; slice not strobed");
-    }
+    record(trace::kSsDown, strobe_node_);
     strobing_ = false;
     return;
   }
@@ -556,12 +545,7 @@ void Runtime::strobePhase(Phase p) {
   }
   const std::uint64_t seq = ++phase_seq_;
   ++stats_.microstrobes;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kStrobe,
-                   strobe_node_,
-                   std::string("microstrobe ") + phaseName(p) + " slice " +
-                       std::to_string(slice_index_));
-  }
+  record(trace::kMicrostrobe, strobe_node_, phaseName(p), slice_index_);
   if (tree_mode_) {
     // Hierarchical control plane: strobe the rack-level SSes only; they
     // relay to their members and coalesce the completions (tree.cpp).
@@ -897,10 +881,7 @@ void Runtime::notifyNodeFailure(int node) {
                                         live_compute_nodes_.end(), node),
                             live_compute_nodes_.end());
   pending_evictions_.push_back(node);
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFault, node,
-                   "node evicted; recovery at next slice boundary");
-  }
+  record(trace::kNodeEvicted, node);
   // Tree repair runs immediately (not at the boundary): the in-flight
   // microphase must be able to finish without the dead member, and a dead
   // rack SS needs a successor before the rack can ack anything.
@@ -916,12 +897,7 @@ void Runtime::performRecovery() {
   // node completed no transfers after leaving the poll set): take the
   // coordinated checkpoint the paper's §6 sketches.
   recovery_records_.push_back(snapshot());
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFault, -1,
-                   "recovery complete: " + std::to_string(dead.size()) +
-                       " node(s) evicted, checkpoint at slice " +
-                       std::to_string(slice_index_));
-  }
+  record(trace::kRecovered, -1, dead.size(), slice_index_);
   maybeStop();
 }
 
@@ -1103,11 +1079,7 @@ void Runtime::onWatchdog(int node) {
   }
   if (node == strobe_node_) return;  // the Strobe Sender never suspects itself
   ++stats_.watchdog_fires;
-  if (trace_) {
-    trace_->record(now, sim::TraceCategory::kFailover, node,
-                   "slice watchdog fired: no microstrobe for " +
-                       std::to_string(config_.watchdog_slices) + " slices");
-  }
+  record(trace::kWatchdogFired, node, config_.watchdog_slices);
   if (live_compute_nodes_.empty()) return;
   if (tree_mode_) {
     // Two-level suspicion ladder: rack SSes suspect the root, plain members
@@ -1134,20 +1106,33 @@ void Runtime::stopWatchdogs() {
 }
 
 void Runtime::beginElection(int node) {
+  claimEpoch(node, [this, node] {
+    const int old_ss = strobe_node_;
+    strobe_node_ = node;
+    strobing_ = true;
+    record(trace::kSsElected, node, old_ss, control_epoch_, phase_seq_);
+    if (failover_handler_) failover_handler_(node, control_epoch_);
+    recoverPhase();
+  });
+}
+
+void Runtime::claimEpoch(int node, std::function<void()> on_won) {
   if (election_inflight_) {
     armWatchdogAt(node, cluster_.engine().now() + watchdogTimeout());
     return;
   }
   election_inflight_ = true;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                   node,
-                   "suspecting Strobe Sender death; claiming epoch " +
-                       std::to_string(control_epoch_ + 1));
+  // In tree mode a rack SS suspects the root, a plain member its rack's SS.
+  const char* suspect = "";
+  if (tree_mode_) {
+    suspect = sstree_.ss(sstree_.rackOf(node)) == node ? "root " : "rack ";
   }
+  record(trace::kEpochClaim, node, suspect, control_epoch_ + 1);
   // The claim: Compare-And-Write(epoch == current, write current+1) over the
   // whole live set.  Atomic over the quorum, so concurrent claims serialize;
   // it fails while any live-set replica is unreachable or already bumped.
+  // One global epoch guards both tree levels, so rack-SS and root
+  // replacement serialize through it and cannot elect in parallel.
   core::CompareAndWriteRequest req;
   req.src_node = node;
   req.nodes = live_compute_nodes_;
@@ -1157,17 +1142,14 @@ void Runtime::beginElection(int node) {
   req.do_write = true;
   req.write_var = epoch_var_;
   req.write_value = static_cast<std::int64_t>(control_epoch_ + 1);
-  core_.compareAndWriteAsync(std::move(req), [this, node](bool claimed) {
+  auto on_result = [this, node, on_won = std::move(on_won)](bool claimed) {
     if (!claimed) {
-      if (trace_) {
-        trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                       node, "epoch claim failed; retrying");
-      }
+      record(trace::kEpochClaimFailed, node);
+      // Re-enter through the watchdog: if strobes resumed meanwhile (the
+      // claim lost to a concurrent winner) this re-arms instead of
+      // re-electing.
       cluster_.engine().after(config_.election_retry_interval, [this, node] {
         election_inflight_ = false;
-        // Re-enter through the watchdog: if strobes resumed meanwhile (the
-        // claim lost to a concurrent winner) this re-arms instead of
-        // re-electing.
         onWatchdog(node);
       });
       return;
@@ -1175,21 +1157,9 @@ void Runtime::beginElection(int node) {
     election_inflight_ = false;
     ++control_epoch_;
     ++stats_.elections;
-    const int old_ss = strobe_node_;
-    strobe_node_ = node;
-    strobing_ = true;
-    if (trace_) {
-      trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                     node,
-                     "elected backup Strobe Sender (was n" +
-                         std::to_string(old_ss) + "), epoch " +
-                         std::to_string(control_epoch_) +
-                         "; recovering phase seq " +
-                         std::to_string(phase_seq_));
-    }
-    if (failover_handler_) failover_handler_(node, control_epoch_);
-    recoverPhase();
-  });
+    on_won();
+  };
+  core_.compareAndWriteAsync(std::move(req), std::move(on_result));
 }
 
 void Runtime::recoverPhase() {
@@ -1233,11 +1203,7 @@ void Runtime::resumeStrobe() {
         (now - slice_start_) / config_.time_slice);
     next = slice_start_ + static_cast<SimTime>(k + 1) * config_.time_slice;
   }
-  if (trace_) {
-    trace_->record(now, sim::TraceCategory::kFailover, strobe_node_,
-                   "phase quiesced; strobing resumes at " +
-                       sim::formatTime(next));
-  }
+  record(trace::kStrobeResumes, strobe_node_, next);
   const std::uint64_t epoch = control_epoch_;
   cluster_.engine().at(next, [this, epoch] {
     if (epoch != control_epoch_) return;
@@ -1253,10 +1219,7 @@ void Runtime::notifyNodeRejoin(int node) {
     if (p == node) return;
   }
   pending_rejoins_.push_back(node);
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                   node, "rejoin announced; reintegration at slice boundary");
-  }
+  record(trace::kRejoinAnnounced, node);
   // With the strobe stopped (job already over, or SS dead pending election)
   // there is no upcoming boundary to wait for — reintegrate immediately so
   // the node is part of whatever happens next.
@@ -1284,12 +1247,7 @@ void Runtime::performRejoins() {
     core_.writeVarLocal(node, phase_done_var_,
                         static_cast<std::int64_t>(phase_seq_));
     ++stats_.rejoins;
-    if (trace_) {
-      trace_->record(now, sim::TraceCategory::kFailover, node,
-                     "rejoined at slice " + std::to_string(slice_index_) +
-                         " (epoch " + std::to_string(control_epoch_) +
-                         "): queues rebuilt");
-    }
+    record(trace::kRejoined, node, slice_index_, control_epoch_);
     NodeState& ns = nodeState(node);
     ns.last_strobe = now;
     if (!ns.watchdog_armed) {

@@ -68,6 +68,41 @@ inline constexpr int kNumPhases = 5;
 
 const char* phaseName(Phase p);
 
+/// Trace record kinds (sim/trace.hpp) the runtime emits.
+namespace trace {
+using enum sim::TraceCategory;
+inline constexpr sim::TraceKind kMicrostrobe{kStrobe, "microstrobe {s} slice {}"};
+inline constexpr sim::TraceKind kSendDesc{kDescriptor, "send desc from rank {} tag {} ({}B)"};
+inline constexpr sim::TraceKind kDescLost{kFault, "desc to rank {} tag {} lost; retransmit #{} next slice"};
+inline constexpr sim::TraceKind kGet{kDma, "get {}B from rank {}{s}"};
+inline constexpr sim::TraceKind kChunkLost{kFault, "chunk {}B from rank {} lost; retrying next slice"};
+inline constexpr sim::TraceKind kRequestFailed{kFault, "request {} of j{}/r{} failed: peer rank {} unreachable"};
+inline constexpr sim::TraceKind kFlagSet{kCollective, "flag set: {s} gen {}"};
+inline constexpr sim::TraceKind kCollectiveHandler{kCollective, "CH {s} gen {} to {} node(s)"};
+inline constexpr sim::TraceKind kReducePartial{kCollective, "RH partial -> n{}"};
+inline constexpr sim::TraceKind kReduceResult{kCollective, "RH result ready ({s} gen {})"};
+inline constexpr sim::TraceKind kRmaBatch{kDescriptor, "rma batch from n{}: {} op(s)"};
+inline constexpr sim::TraceKind kRmaLost{kFault, "rma {s} to rank {} lost; retransmit #{} next slice"};
+inline constexpr sim::TraceKind kRmaApplied{kDma, "rma {s} {}B from rank {} on win {} of rank {} @{}"};
+inline constexpr sim::TraceKind kRmaReturnLost{kFault, "rma completion batch to n{} ({} op(s)) lost; retrying next slice"};
+inline constexpr sim::TraceKind kNodeEvicted{kFault, "node evicted; recovery at next slice boundary"};
+inline constexpr sim::TraceKind kRecovered{kFault, "recovery complete: {} node(s) evicted, checkpoint at slice {}"};
+inline constexpr sim::TraceKind kSsDown{kFailover, "Strobe Sender down; slice not strobed"};
+inline constexpr sim::TraceKind kWatchdogFired{kFailover, "slice watchdog fired: no microstrobe for {} slices"};
+/// The name is "" (flat), "root " or "rack " (tree).
+inline constexpr sim::TraceKind kEpochClaim{kFailover, "suspecting {s}Strobe Sender death; claiming epoch {}"};
+inline constexpr sim::TraceKind kEpochClaimFailed{kFailover, "epoch claim failed; retrying"};
+inline constexpr sim::TraceKind kSsElected{kFailover, "elected backup Strobe Sender (was n{}), epoch {}; recovering phase seq {}"};
+inline constexpr sim::TraceKind kRootElected{kFailover, "elected backup root Strobe Sender (was n{}), epoch {}; recovering phase seq {}"};
+inline constexpr sim::TraceKind kRackSsElected{kFailover, "promoted to rack Strobe Sender of rack {} (was n{}), epoch {}"};
+inline constexpr sim::TraceKind kRackSsReplaced{kFailover, "promoted to rack Strobe Sender of rack {} (n{} evicted)"};
+inline constexpr sim::TraceKind kRackEmpty{kFailover, "rack {} lost its last member"};
+inline constexpr sim::TraceKind kRestrobe{kFailover, "re-strobing microphase seq {} to re-collect rack acks"};
+inline constexpr sim::TraceKind kStrobeResumes{kFailover, "phase quiesced; strobing resumes at {t}"};
+inline constexpr sim::TraceKind kRejoinAnnounced{kFailover, "rejoin announced; reintegration at slice boundary"};
+inline constexpr sim::TraceKind kRejoined{kFailover, "rejoined at slice {} (epoch {}): queues rebuilt"};
+}  // namespace trace
+
 /// A globally consistent snapshot of the machine's communication state,
 /// taken at a slice boundary (§1: "the fact that the communication state of
 /// all processes is known at the beginning of every time slice facilitates
@@ -268,7 +303,6 @@ class Runtime {
     sim::ParallelPolicy policy;
     policy.threads = threads;
     policy.window = config_.time_slice;
-    policy.windows_per_barrier = slices_per_window;
     const sim::Duration grid =
         config_.time_slice * std::max(slices_per_window, 1);
     policy.next_barrier = [grid](sim::SimTime t) {
@@ -600,6 +634,12 @@ class Runtime {
   void failRequest(int job, int rank, std::uint64_t req, int peer, int tag);
   void wakeAtSliceStart(int node);
 
+  /// Records a trace entry at the current simulated time.
+  template <class... Args>
+  void record(const sim::TraceKind& kind, int node, const Args&... args) {
+    cluster_.trace().record(cluster_.engine().now(), kind, node, args...);
+  }
+
   // Fault recovery (runtime.cpp)
   void performRecovery();
   void evictNodeState(int node);
@@ -616,6 +656,11 @@ class Runtime {
   void onWatchdog(int node);
   void stopWatchdogs();
   void beginElection(int node);
+  /// The epoch claim both control-plane levels elect through: a
+  /// Compare-And-Write bumping the replicated epoch over the live set,
+  /// retried through the watchdog when it fails; `on_won` runs after the
+  /// winner's epoch and election count are bumped.
+  void claimEpoch(int node, std::function<void()> on_won);
   void recoverPhase();
   void resumeStrobe();
   void performRejoins();
@@ -664,7 +709,6 @@ class Runtime {
   net::Cluster& cluster_;
   BcsMpiConfig config_;
   core::BcsCore core_;
-  sim::Trace* trace_;
 
   /// One-sided RMA window table, keyed by windowOwnerKey(job, rank).
   core::WindowRegistry windows_;

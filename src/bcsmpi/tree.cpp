@@ -390,12 +390,7 @@ void Runtime::treeRecover() {
   // relays and fan-outs are idempotent (members already at this seq are not
   // re-initialized; racks re-ack from their own state), so this is a pure
   // global quiesce.
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                   strobe_node_,
-                   "re-strobing microphase seq " + std::to_string(phase_seq_) +
-                       " to re-collect rack acks");
-  }
+  record(trace::kRestrobe, strobe_node_, phase_seq_);
   tree_recovering_ = true;
   for (TreeRackState& rk : tree_racks_) rk.acked_seq = 0;
   strobePhaseTree(tree_phase_, phase_seq_);
@@ -437,84 +432,29 @@ void Runtime::onWatchdogTree(int node) {
 }
 
 void Runtime::beginTreeElection(int node) {
-  if (election_inflight_) {
-    armWatchdogAt(node, cluster_.engine().now() + watchdogTimeout());
-    return;
-  }
-  election_inflight_ = true;
   const int rack = sstree_.rackOf(node);
   const bool was_rack_ss = sstree_.ss(rack) == node;
-  if (trace_) {
-    trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                   node,
-                   std::string("suspecting ") +
-                       (was_rack_ss ? "root" : "rack") +
-                       " Strobe Sender death; claiming epoch " +
-                       std::to_string(control_epoch_ + 1));
-  }
-  // One global epoch guards both levels: rack-SS replacement and root
-  // replacement serialize through the same Compare-And-Write claim, so two
-  // simultaneous failures (rack SS + root) cannot elect in parallel.
-  core::CompareAndWriteRequest req;
-  req.src_node = node;
-  req.nodes = live_compute_nodes_;
-  req.var = epoch_var_;
-  req.op = core::CmpOp::kEQ;
-  req.value = static_cast<std::int64_t>(control_epoch_);
-  req.do_write = true;
-  req.write_var = epoch_var_;
-  req.write_value = static_cast<std::int64_t>(control_epoch_ + 1);
-  core_.compareAndWriteAsync(
-      std::move(req), [this, node, rack, was_rack_ss](bool claimed) {
-        if (!claimed) {
-          if (trace_) {
-            trace_->record(cluster_.engine().now(),
-                           sim::TraceCategory::kFailover, node,
-                           "epoch claim failed; retrying");
-          }
-          cluster_.engine().after(config_.election_retry_interval,
-                                  [this, node] {
-                                    election_inflight_ = false;
-                                    onWatchdog(node);
-                                  });
-          return;
-        }
-        election_inflight_ = false;
-        ++control_epoch_;
-        ++stats_.elections;
-        const SimTime now = cluster_.engine().now();
-        if (!was_rack_ss) {
-          const int old_ss = sstree_.ss(rack);
-          sstree_.setSs(rack, node);
-          if (trace_) {
-            trace_->record(now, sim::TraceCategory::kFailover, node,
-                           "promoted to rack Strobe Sender of rack " +
-                               std::to_string(rack) + " (was n" +
-                               std::to_string(old_ss) + "), epoch " +
-                               std::to_string(control_epoch_));
-          }
-        }
-        const bool root_dead =
-            cluster_.faults()->nodeDown(strobe_node_, now) ||
-            (strobe_node_ < cluster_.numComputeNodes() &&
-             nodeEvicted(strobe_node_));
-        if (was_rack_ss || root_dead) {
-          const int old_root = strobe_node_;
-          strobe_node_ = node;
-          sstree_.setSs(rack, node);  // the root heads its own rack
-          if (trace_) {
-            trace_->record(now, sim::TraceCategory::kFailover, node,
-                           "elected backup root Strobe Sender (was n" +
-                               std::to_string(old_root) + "), epoch " +
-                               std::to_string(control_epoch_) +
-                               "; recovering phase seq " +
-                               std::to_string(phase_seq_));
-          }
-          if (failover_handler_) failover_handler_(node, control_epoch_);
-        }
-        strobing_ = true;
-        treeRecover();
-      });
+  claimEpoch(node, [this, node, rack, was_rack_ss] {
+    const SimTime now = cluster_.engine().now();
+    if (!was_rack_ss) {
+      const int old_ss = sstree_.ss(rack);
+      sstree_.setSs(rack, node);
+      record(trace::kRackSsElected, node, rack, old_ss, control_epoch_);
+    }
+    const bool root_dead =
+        cluster_.faults()->nodeDown(strobe_node_, now) ||
+        (strobe_node_ < cluster_.numComputeNodes() &&
+         nodeEvicted(strobe_node_));
+    if (was_rack_ss || root_dead) {
+      const int old_root = strobe_node_;
+      strobe_node_ = node;
+      sstree_.setSs(rack, node);  // the root heads its own rack
+      record(trace::kRootElected, node, old_root, control_epoch_, phase_seq_);
+      if (failover_handler_) failover_handler_(node, control_epoch_);
+    }
+    strobing_ = true;
+    treeRecover();
+  });
 }
 
 void Runtime::treeHandleEviction(int node) {
@@ -530,24 +470,14 @@ void Runtime::treeHandleEviction(int node) {
   if (!ev.removed) return;
   if (counted && rk.pending > 0) --rk.pending;
   if (ev.rack_empty) {
-    if (trace_) {
-      trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                     node,
-                     "rack " + std::to_string(rack) + " lost its last member");
-    }
+    record(trace::kRackEmpty, node, rack);
     // An empty rack no longer gates phase completion.
     maybeTreePhaseDone();
     return;
   }
   if (ev.ss_changed) {
     const int new_ss = sstree_.ss(rack);
-    if (trace_) {
-      trace_->record(cluster_.engine().now(), sim::TraceCategory::kFailover,
-                     new_ss,
-                     "promoted to rack Strobe Sender of rack " +
-                         std::to_string(rack) + " (n" + std::to_string(node) +
-                         " evicted)");
-    }
+    record(trace::kRackSsReplaced, new_ss, rack, node);
     // Re-strobe the rack under its successor so the in-flight microphase
     // can still finish (the fan-out is idempotent; the members keep their
     // tokens).

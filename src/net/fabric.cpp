@@ -161,12 +161,7 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
     raceTouch(race_, src, race::FieldGroup::kEgress, "Fabric::unicast");
     const SimTime completion = start_tx + baseLatency(src, dst) + serial +
                                params_.nic_rx_overhead;
-    if (trace_) {
-      trace_->record(now, sim::TraceCategory::kNet, src,
-                     "unicast -> n" + std::to_string(dst) + " " +
-                         std::to_string(bytes) + "B, delivers at " +
-                         sim::formatTime(completion) + " (x-shard)");
-    }
+    record(trace::kUnicastCrossShard, src, dst, bytes, completion);
     if (on_injected) engine_.at(e_src.egress_free, std::move(on_injected));
     engine_.handoff(shard_map_[static_cast<std::size_t>(dst)], completion,
                     std::move(on_delivered));
@@ -177,11 +172,7 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
   // timeout without occupying the wire.
   if (fault_ && fault_->nodeDown(src, now)) {
     bump(&FabricStats::failed_sends);
-    if (trace_) {
-      trace_->record(now, sim::TraceCategory::kFault, src,
-                     "unicast -> n" + std::to_string(dst) +
-                         " failed: source down");
-    }
+    record(trace::kUnicastSourceDown, src, dst);
     if (opts.on_failed) {
       engine_.at(now + params_.ack_timeout, std::move(opts.on_failed));
     }
@@ -233,11 +224,7 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
   const SimTime arrival = start_tx + baseLatency(src, dst) + serial + degrade;
 
   if (lost) {
-    if (trace_) {
-      trace_->record(now, sim::TraceCategory::kFault, src,
-                     "unicast -> n" + std::to_string(dst) + " " +
-                         std::to_string(bytes) + "B lost");
-    }
+    record(trace::kUnicastLost, src, dst, bytes);
     if (on_injected) engine_.at(e_src.egress_free, std::move(on_injected));
     if (opts.on_failed) {
       engine_.at(arrival + params_.nic_rx_overhead + params_.ack_timeout,
@@ -253,12 +240,7 @@ void Fabric::unicast(int src, int dst, std::size_t bytes,
 
   const SimTime completion = deliver_end + params_.nic_rx_overhead;
 
-  if (trace_) {
-    trace_->record(now, sim::TraceCategory::kNet, src,
-                   "unicast -> n" + std::to_string(dst) + " " +
-                       std::to_string(bytes) + "B, delivers at " +
-                       sim::formatTime(completion));
-  }
+  record(trace::kUnicast, src, dst, bytes, completion);
   if (on_injected) engine_.at(e_src.egress_free, std::move(on_injected));
   engine_.at(completion, std::move(on_delivered));
 }
@@ -326,11 +308,7 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
   for (int d : dests) {
     if (src_down || (fault_ && fault_->nodeDown(d, now))) {
       bump(&FabricStats::suppressed_deliveries);
-      if (trace_) {
-        trace_->record(now, sim::TraceCategory::kFault, src,
-                       "multicast leg -> n" + std::to_string(d) +
-                           " suppressed (endpoint down)");
-      }
+      record(trace::kMulticastLegSuppressed, src, d);
       continue;
     }
     Endpoint& e_dst = endpoints_[static_cast<std::size_t>(d)];
@@ -344,11 +322,7 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
       engine_.at(completion, [cb = on_delivered_at, d] { cb(d); });
     }
   }
-  if (trace_) {
-    trace_->record(now, sim::TraceCategory::kNet, src,
-                   "hw-multicast to " + std::to_string(dests.size()) +
-                       " nodes, " + std::to_string(bytes) + "B");
-  }
+  record(trace::kHwMulticast, src, dests.size(), bytes);
   if (on_all) engine_.at(last, std::move(on_all));
 }
 
@@ -471,10 +445,7 @@ void Fabric::conditional(int src, std::vector<int> nodes,
     // evaluate false, below — the issuer is special.)
     if (fault_ && fault_->nodeDown(src, engine_.now())) {
       bump(&FabricStats::suppressed_conditionals);
-      if (trace_) {
-        trace_->record(engine_.now(), sim::TraceCategory::kFault, src,
-                       "conditional result suppressed: issuer down");
-      }
+      record(trace::kConditionalSuppressed, src);
       return;
     }
     bool all = true;

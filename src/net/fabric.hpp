@@ -85,6 +85,19 @@ struct SendOptions {
   std::function<void()> on_failed;
 };
 
+/// Trace record kinds (sim/trace.hpp) the fabric emits; the node is the
+/// sender.
+namespace trace {
+using enum sim::TraceCategory;
+inline constexpr sim::TraceKind kUnicast{kNet, "unicast -> n{} {}B, delivers at {t}"};
+inline constexpr sim::TraceKind kUnicastCrossShard{kNet, "unicast -> n{} {}B, delivers at {t} (x-shard)"};
+inline constexpr sim::TraceKind kUnicastSourceDown{kFault, "unicast -> n{} failed: source down"};
+inline constexpr sim::TraceKind kUnicastLost{kFault, "unicast -> n{} {}B lost"};
+inline constexpr sim::TraceKind kMulticastLegSuppressed{kFault, "multicast leg -> n{} suppressed (endpoint down)"};
+inline constexpr sim::TraceKind kHwMulticast{kNet, "hw-multicast to {} nodes, {}B"};
+inline constexpr sim::TraceKind kConditionalSuppressed{kFault, "conditional result suppressed: issuer down"};
+}  // namespace trace
+
 class Fabric {
  public:
   Fabric(sim::Engine& engine, NetworkParams params, int num_nodes,
@@ -185,6 +198,11 @@ class Fabric {
   /// concurrent shard workers never ping-pong one shared cache line.  The
   /// serial path (no worker context) keeps a plain non-atomic add.
   void bump(std::uint64_t FabricStats::* counter, std::uint64_t delta = 1);
+  /// Records a trace entry now (a fabric built alone has no trace).
+  template <class... Args>
+  void record(const sim::TraceKind& kind, int node, const Args&... args) {
+    if (trace_) trace_->record(engine_.now(), kind, node, args...);
+  }
 
   sim::Engine& engine_;
   NetworkParams params_;

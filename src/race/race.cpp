@@ -196,7 +196,7 @@ std::string RaceDetector::describeAccess(sim::ShardId shard,
 void RaceDetector::addFinding(Category cat, sim::SimTime boundary,
                               const ObjectKey& key, std::string detail) {
   ++report_.counts[static_cast<int>(cat)];
-  if (trace_ != nullptr) {
+  if (trace_ != nullptr && trace_->enabled()) {
     int node = -1;
     switch (key.kind) {
       case ObjectKind::kNodeState:

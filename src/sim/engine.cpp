@@ -7,6 +7,8 @@
 #include <exception>
 #include <utility>
 
+#include "sim/trace.hpp"
+
 namespace bcs::sim {
 
 void simFail(const std::string& what) {
@@ -65,10 +67,7 @@ struct alignas(64) ExecContext {
   struct DeferredTrace {
     void* trace;
     TraceCommitFn commit;
-    SimTime t;
-    std::uint8_t category;
-    int node;
-    std::string message;
+    TraceRecord record;
     SimTime src_when;
     std::uint64_t src_key;
     std::uint32_t idx;
@@ -118,13 +117,12 @@ void adoptExecContext(void* ctx) { t_ctx = static_cast<ExecContext*>(ctx); }
 
 int currentWorkerIndex() { return t_ctx != nullptr ? t_ctx->worker : -1; }
 
-bool deferTraceRecord(void* trace, TraceCommitFn commit, SimTime t,
-                      std::uint8_t category, int node, std::string&& message) {
+bool deferTraceRecord(void* trace, TraceCommitFn commit, TraceRecord&& record) {
   ExecContext* ctx = t_ctx;
   if (ctx == nullptr) return false;
   ctx->deferred.push_back(ExecContext::DeferredTrace{
-      trace, commit, t, category, node, std::move(message), ctx->now,
-      ctx->cur_key, ctx->trace_idx++});
+      trace, commit, std::move(record), ctx->now, ctx->cur_key,
+      ctx->trace_idx++});
   return true;
 }
 
@@ -680,7 +678,7 @@ void Engine::mergeWindow() {
               return a->idx < b->idx;
             });
   for (detail::ExecContext::DeferredTrace* d : traces) {
-    d->commit(d->trace, d->t, d->category, d->node, std::move(d->message));
+    d->commit(d->trace, std::move(d->record));
   }
   for (auto& cp : ctxs_) cp->deferred.clear();
 }
@@ -718,9 +716,6 @@ SimTime Engine::run(const ParallelPolicy& policy, SimTime until) {
   if (!policy.next_barrier && policy.window <= 0) {
     simFail("Engine::run: ParallelPolicy.window must be positive");
   }
-  if (policy.windows_per_barrier < 1) {
-    simFail("Engine::run: ParallelPolicy.windows_per_barrier must be >= 1");
-  }
 
   distributeToShards();
 
@@ -754,14 +749,6 @@ SimTime Engine::run(const ParallelPolicy& policy, SimTime until) {
     workers_.emplace_back([this, w] { workerLoop(w); });
   }
 
-  // Barrier coarsening: several grid windows fused into one barrier-to-
-  // barrier stretch.  Only valid when the model keeps cross-shard effects
-  // on a coarser grid too (the runtime knows its slice schedule).
-  const SimTime grid =
-      policy.window > 0
-          ? policy.window * static_cast<SimTime>(policy.windows_per_barrier)
-          : 0;
-
 #if defined(__cpp_exceptions)
   try {
 #endif
@@ -786,7 +773,7 @@ SimTime Engine::run(const ParallelPolicy& policy, SimTime until) {
                   "time past its argument");
         }
       } else {
-        wend = (tmin / grid + 1) * grid;
+        wend = (tmin / policy.window + 1) * policy.window;
       }
       if (until != INT64_MAX && wend > until) wend = until + 1;
 

@@ -71,6 +71,8 @@ namespace bcs::sim {
 /// parallelism by placing per-node event chains on per-node shards.
 using ShardId = std::uint16_t;
 
+struct TraceRecord;  // sim/trace.hpp
+
 /// Opt-in parallel execution mode for Engine::run.  Barriers default to the
 /// multiples of `window` (the BCS time-slice grid); `next_barrier`, when
 /// set, overrides that with an arbitrary monotone schedule (e.g. microphase
@@ -79,14 +81,6 @@ using ShardId = std::uint16_t;
 struct ParallelPolicy {
   int threads = 2;
   Duration window = usec(500);
-
-  /// Barrier coarsening on the default grid: merge points land on multiples
-  /// of `window * windows_per_barrier`.  Legal only when the workload's
-  /// cross-shard lookahead covers the coarser grid (Engine::handoff targets
-  /// must land at or past the *next barrier*, which is now further out);
-  /// violations fail loudly, so widening this is always safe to try.
-  /// Ignored when `next_barrier` is set.
-  int windows_per_barrier = 1;
 
   /// Caps the worker-thread count at the host's hardware concurrency (and
   /// at the shard count — surplus workers own no shards).  Results are
@@ -107,14 +101,12 @@ struct ExecContext;  // per-worker window state; defined in engine.cpp
 /// engine cannot name sim::Trace: the -fno-exceptions bench smoke compiles
 /// engine.cpp standalone, so the coupling is a function pointer supplied by
 /// trace.cpp).
-using TraceCommitFn = void (*)(void* trace, SimTime t, std::uint8_t category,
-                               int node, std::string&& message);
+using TraceCommitFn = void (*)(void* trace, TraceRecord&& record);
 
 /// Defers a trace record into the executing worker's buffer.  Returns false
 /// when no parallel window is active on this thread (the caller appends
 /// directly, as in serial mode).
-bool deferTraceRecord(void* trace, TraceCommitFn commit, SimTime t,
-                      std::uint8_t category, int node, std::string&& message);
+bool deferTraceRecord(void* trace, TraceCommitFn commit, TraceRecord&& record);
 
 /// Index of the worker executing the current parallel window on this
 /// thread, or -1 outside a window.  Lets shared observers (e.g. Fabric

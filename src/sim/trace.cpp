@@ -1,11 +1,38 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 #include "sim/engine.hpp"
 
 namespace bcs::sim {
+
+namespace {
+
+/// The one renderer: a record's message text.
+void renderMessage(std::string& out, const TraceRecord& r) {
+  if (r.kind == nullptr) {
+    out += r.text;
+    return;
+  }
+  std::size_t field = 0;
+  const char* p = r.kind->format;
+  while (const char* brace = std::strchr(p, '{')) {
+    out.append(p, brace);
+    switch (brace[1]) {
+      case '}': out += std::to_string(r.fields[field++]); break;
+      case 't': out += formatTime(r.fields[field++]); break;
+      case 's': out += r.name; break;
+      case 'm': out += r.text; break;
+    }
+    p = std::strchr(brace, '}') + 1;
+  }
+  out += p;
+}
+
+}  // namespace
 
 const char* traceCategoryName(TraceCategory c) {
   switch (c) {
@@ -33,28 +60,30 @@ void Trace::enable(bool echo_to_stderr) {
   echo_ = echo_to_stderr;
 }
 
-void Trace::record(SimTime t, TraceCategory cat, int node, std::string msg) {
+void Trace::record(SimTime t, TraceCategory cat, int node, std::string text) {
   if (!enabled_) return;
-  if (detail::deferTraceRecord(this, &Trace::commitThunk, t,
-                               static_cast<std::uint8_t>(cat), node,
-                               std::move(msg))) {
+  commit(TraceRecord{t, cat, node, nullptr, {}, nullptr, std::move(text)});
+}
+
+void Trace::commit(TraceRecord&& r) {
+  if (detail::deferTraceRecord(this, &Trace::commitThunk, std::move(r))) {
     return;  // inside a parallel window; committed at the next barrier
   }
-  append(t, cat, node, std::move(msg));
+  append(std::move(r));
 }
 
-void Trace::commitThunk(void* trace, SimTime t, std::uint8_t category,
-                        int node, std::string&& msg) {
-  static_cast<Trace*>(trace)->append(t, static_cast<TraceCategory>(category),
-                                     node, std::move(msg));
+void Trace::commitThunk(void* trace, TraceRecord&& r) {
+  static_cast<Trace*>(trace)->append(std::move(r));
 }
 
-void Trace::append(SimTime t, TraceCategory cat, int node, std::string&& msg) {
+void Trace::append(TraceRecord&& r) {
   if (echo_) {
-    std::fprintf(stderr, "[%14s] %-8s n%-3d %s\n", formatTime(t).c_str(),
-                 traceCategoryName(cat), node, msg.c_str());
+    std::string msg;
+    renderMessage(msg, r);
+    std::fprintf(stderr, "[%14s] %-8s n%-3d %s\n", formatTime(r.time).c_str(),
+                 traceCategoryName(r.category), r.node, msg.c_str());
   }
-  records_.push_back(TraceRecord{t, cat, node, std::move(msg)});
+  records_.push_back(std::move(r));
 }
 
 std::size_t Trace::count(
@@ -66,12 +95,16 @@ std::size_t Trace::count(
   return n;
 }
 
-std::string Trace::dump() const {
+std::string Trace::dump(std::size_t n) const {
   std::string out;
-  for (const auto& r : records_) {
+  n = std::min(n, records_.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const TraceRecord& r = records_[i];
     out += "[" + formatTime(r.time) + "] ";
     out += traceCategoryName(r.category);
-    out += " n" + std::to_string(r.node) + ": " + r.message + "\n";
+    out += " n" + std::to_string(r.node) + ": ";
+    renderMessage(out, r);
+    out += "\n";
   }
   return out;
 }

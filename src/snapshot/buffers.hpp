@@ -6,9 +6,10 @@
 // A snapshot cannot store pointers, so checkpointable workloads register
 // every communication buffer here under a stable id; capture rewrites each
 // pointer as (buffer id, offset) and restore resolves it against the fresh
-// process's registry (same ids, same sizes — the workload registers them in
-// construction order).  Buffer *contents* are serialized too: a restored
-// run must re-send exactly the bytes the interrupted run would have.
+// process's registry.  A buffer's id is its registration index, so the
+// fresh process gets the same ids by registering the same buffers in the
+// same (construction) order.  Buffer *contents* are serialized too: a
+// restored run must re-send exactly the bytes the interrupted run would have.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,14 +31,10 @@ struct BufRef {
 
 class BufferRegistry {
  public:
-  void add(std::uint32_t id, std::byte* data, std::size_t size) {
-    for (const Entry& e : entries_) {
-      if (e.id == id) {
-        throw SnapshotError("buffers",
-                            "duplicate buffer id " + std::to_string(id));
-      }
-    }
-    entries_.push_back(Entry{id, data, size});
+  /// Registers a buffer; returns its id (the registration index).
+  std::uint32_t add(std::byte* data, std::size_t size) {
+    entries_.push_back(Entry{data, size});
+    return static_cast<std::uint32_t>(entries_.size() - 1);
   }
 
   /// Pointer → reference.  Null maps to kNullBuffer; a pointer outside every
@@ -45,33 +42,34 @@ class BufferRegistry {
   /// the capture rather than snapshot a dangling address.
   BufRef refOf(const std::byte* p) const {
     if (p == nullptr) return BufRef{};
-    for (const Entry& e : entries_) {
+    for (std::uint32_t id = 0; id < entries_.size(); ++id) {
+      const Entry& e = entries_[id];
       if (p >= e.data && p < e.data + e.size) {
-        return BufRef{e.id, static_cast<std::uint64_t>(p - e.data)};
+        return BufRef{id, static_cast<std::uint64_t>(p - e.data)};
       }
     }
     // One-past-the-end of a buffer is a valid position for a fully-consumed
     // chunk pointer; resolve it against the owning buffer.
-    for (const Entry& e : entries_) {
-      if (p == e.data + e.size) return BufRef{e.id, e.size};
+    for (std::uint32_t id = 0; id < entries_.size(); ++id) {
+      const Entry& e = entries_[id];
+      if (p == e.data + e.size) return BufRef{id, e.size};
     }
     throw SnapshotError("buffers", "pointer into an unregistered buffer");
   }
 
   std::byte* resolve(BufRef ref) const {
     if (ref.id == kNullBuffer) return nullptr;
-    for (const Entry& e : entries_) {
-      if (e.id != ref.id) continue;
-      if (ref.offset > e.size) {
-        throw SnapshotError("buffers",
-                            "offset " + std::to_string(ref.offset) +
-                                " past end of buffer " +
-                                std::to_string(ref.id));
-      }
-      return e.data + ref.offset;
+    if (ref.id >= entries_.size()) {
+      throw SnapshotError("buffers",
+                          "unknown buffer id " + std::to_string(ref.id));
     }
-    throw SnapshotError("buffers",
-                        "unknown buffer id " + std::to_string(ref.id));
+    const Entry& e = entries_[ref.id];
+    if (ref.offset > e.size) {
+      throw SnapshotError("buffers", "offset " + std::to_string(ref.offset) +
+                                         " past end of buffer " +
+                                         std::to_string(ref.id));
+    }
+    return e.data + ref.offset;
   }
 
   /// Swizzles one pointer field: (buffer id, offset) on the wire, resolved
@@ -87,13 +85,14 @@ class BufferRegistry {
   /// the same buffers (same ids, same sizes).
   template <class Ar>
   void contents(Ar& ar) {
-    fixed(ar, entries_, "buffer", [&ar](Entry& ent) {
-      std::uint32_t id = ent.id;
+    fixed(ar, entries_, "buffer", [this, &ar](Entry& ent) {
+      const auto want = static_cast<std::uint32_t>(&ent - entries_.data());
+      std::uint32_t id = want;
       std::uint64_t size = ent.size;
       ar(id, size);
       if constexpr (Ar::kLoading) {
-        if (id != ent.id || size != ent.size) {
-          ar.fail("buffer " + std::to_string(ent.id) + " shape mismatch");
+        if (id != want || size != ent.size) {
+          ar.fail("buffer " + std::to_string(want) + " shape mismatch");
         }
       }
       ar.bytes(ent.data, ent.size);
@@ -102,7 +101,6 @@ class BufferRegistry {
 
  private:
   struct Entry {
-    std::uint32_t id;
     std::byte* data;
     std::size_t size;
   };

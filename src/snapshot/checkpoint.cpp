@@ -128,7 +128,7 @@ Simulation restore(const ScenarioSpec& spec,
   return sim;
 }
 
-std::uint64_t traceDumpBytesAt(const std::vector<std::uint8_t>& blob) {
+std::uint64_t traceRecordsAt(const std::vector<std::uint8_t>& blob) {
   SnapshotReader reader(blob);
   const std::string raw = reader.section("meta");
   Decoder d(raw, "meta");

@@ -96,9 +96,9 @@ std::vector<std::uint8_t> capture(Simulation& sim);
 Simulation restore(const ScenarioSpec& spec,
                    const std::vector<std::uint8_t>& blob);
 
-/// Convenience for drills: the byte length of the cluster's trace dump
-/// recorded inside `blob` at capture time (splice point for
-/// prefix + continuation == uninterrupted comparisons).
-std::uint64_t traceDumpBytesAt(const std::vector<std::uint8_t>& blob);
+/// Convenience for drills: the number of trace records the cluster held
+/// when `blob` was captured (splice point for prefix + continuation ==
+/// uninterrupted comparisons: Trace::dump(n) renders that prefix).
+std::uint64_t traceRecordsAt(const std::vector<std::uint8_t>& blob);
 
 }  // namespace bcs::snapshot

@@ -33,8 +33,9 @@ namespace bcs::snapshot {
 
 inline constexpr char kMagic[4] = {'B', 'C', 'S', 'S'};
 /// v2 added the RMA counters: RuntimeStats::rma_ops and rma_batches, and
-/// each rank's next_rma_call, all in the "runtime" section.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// each rank's next_rma_call, all in the "runtime" section.  v3 dropped the
+/// rendered trace's byte length from "meta"; the record count stays.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte range.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);

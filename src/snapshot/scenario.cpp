@@ -69,14 +69,13 @@ std::string traceCkptResume() {
   b.runtime->setSnapshotSink(
       [&b, &blob](std::uint64_t) { blob = capture(b); });
   b.cluster->run(sim::msec(3));
-  const std::string b_dump = b.cluster->trace().dump();
-  const std::uint64_t prefix = traceDumpBytesAt(blob);
+  const std::uint64_t prefix = traceRecordsAt(blob);
 
   // Resume in a fresh stack and run to completion; splice the continuation
   // after the capture-time prefix.
   Simulation c = restore(spec, blob);
   c.cluster->run();
-  return b_dump.substr(0, static_cast<std::size_t>(prefix)) +
+  return b.cluster->trace().dump(static_cast<std::size_t>(prefix)) +
          c.cluster->trace().dump();
 }
 

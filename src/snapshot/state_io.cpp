@@ -245,16 +245,10 @@ struct StateIO::Io {
 
     section("meta", [&]<class Ar>(Ar& ar) {
       std::uint64_t slice = rt.slice_index_;  // informational on load
-      std::uint64_t trace_bytes = 0;
-      std::uint64_t trace_records = 0;
-      if constexpr (!Ar::kLoading) {
-        trace_bytes = sim.cluster->trace().dump().size();
-        trace_records = sim.cluster->trace().records().size();
-      }
+      std::uint64_t trace_records = sim.cluster->trace().records().size();
       bool with_storm = sim.storm != nullptr;
       bool with_verify = rt.verifier_ != nullptr;
-      ar(captured_at, slice, trace_bytes, trace_records, with_storm,
-         with_verify);
+      ar(captured_at, slice, trace_records, with_storm, with_verify);
       if constexpr (Ar::kLoading) {
         if (with_storm != (sim.storm != nullptr)) {
           ar.fail("snapshot and scenario disagree on STORM presence");

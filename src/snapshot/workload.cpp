@@ -12,10 +12,8 @@ DetachedRing::DetachedRing(bcsmpi::Runtime& rt, int job, RingSpec spec,
   for (std::size_t r = 0; r < n; ++r) {
     send_bufs_[r].resize(spec_.bytes);
     recv_bufs_[r].resize(spec_.bytes);
-    registry.add(static_cast<std::uint32_t>(2 * r), send_bufs_[r].data(),
-                 spec_.bytes);
-    registry.add(static_cast<std::uint32_t>(2 * r + 1), recv_bufs_[r].data(),
-                 spec_.bytes);
+    registry.add(send_bufs_[r].data(), spec_.bytes);  // id 2r
+    registry.add(recv_bufs_[r].data(), spec_.bytes);  // id 2r + 1
   }
 }
 

@@ -82,10 +82,7 @@ void Storm::launchImage(const std::vector<int>& nodes,
   const std::int64_t seq = ++launch_seq_;
   const SimTime t0 = cluster_.engine().now();
 
-  cluster_.trace().record(t0, sim::TraceCategory::kStorm, mgmt,
-                          "launch: " + std::to_string(binary_bytes) +
-                              "B image to " + std::to_string(nodes.size()) +
-                              " node(s)");
+  cluster_.trace().record(t0, trace::kLaunch, mgmt, binary_bytes, nodes.size());
 
   // MM prepares the command, then one hardware multicast carries the whole
   // image; each NM forks its processes and acknowledges via the global
@@ -198,9 +195,7 @@ void Storm::inspectRound(std::int64_t seq) {
         info.marked_dead = false;
         info.missed = 0;
         cluster_.trace().record(cluster_.engine().now(),
-                                sim::TraceCategory::kFailover, n,
-                                "rejoined: heartbeat acknowledged after "
-                                "death declaration");
+                                trace::kHeartbeatRejoin, n);
         if (rejoin_handler_) rejoin_handler_(n);
       } else {
         info.missed = 0;
@@ -208,11 +203,8 @@ void Storm::inspectRound(std::int64_t seq) {
     } else if (!info.marked_dead) {
       if (++info.missed >= config_.max_missed_heartbeats) {
         info.marked_dead = true;
-        cluster_.trace().record(cluster_.engine().now(),
-                                sim::TraceCategory::kStorm, n,
-                                "declared dead after " +
-                                    std::to_string(info.missed) +
-                                    " missed heartbeats");
+        cluster_.trace().record(cluster_.engine().now(), trace::kDeclaredDead,
+                                n, info.missed);
         if (death_handler_) death_handler_(n);
       }
     }
@@ -237,10 +229,8 @@ void Storm::failoverTo(int node) {
   if (node == mm_node_) return;
   const int old_mm = mm_node_;
   mm_node_ = node;
-  cluster_.trace().record(cluster_.engine().now(),
-                          sim::TraceCategory::kFailover, node,
-                          "Machine Manager failed over (was n" +
-                              std::to_string(old_mm) + ")");
+  cluster_.trace().record(cluster_.engine().now(), trace::kMmFailover, node,
+                          old_mm);
 }
 
 std::vector<int> Storm::deadNodes() const {

@@ -44,6 +44,15 @@ struct StormConfig {
   Duration launch_poll_interval = sim::usec(20);
 };
 
+/// Trace record kinds (sim/trace.hpp) STORM emits.
+namespace trace {
+using enum sim::TraceCategory;
+inline constexpr sim::TraceKind kLaunch{kStorm, "launch: {}B image to {} node(s)"};
+inline constexpr sim::TraceKind kDeclaredDead{kStorm, "declared dead after {} missed heartbeats"};
+inline constexpr sim::TraceKind kHeartbeatRejoin{kFailover, "rejoined: heartbeat acknowledged after death declaration"};
+inline constexpr sim::TraceKind kMmFailover{kFailover, "Machine Manager failed over (was n{})"};
+}  // namespace trace
+
 class Storm {
  public:
   Storm(net::Cluster& cluster, StormConfig config = {});

@@ -108,7 +108,7 @@ Verifier::Verifier(sim::Trace* trace, std::size_t max_findings)
 void Verifier::addFinding(Category cat, sim::SimTime now, std::uint64_t slice,
                           int node, int job, int rank, std::string detail) {
   ++report_.counts[static_cast<std::size_t>(cat)];
-  if (trace_) {
+  if (trace_ && trace_->enabled()) {
     // Epoch-race findings get their own trace category so RMA-race tests
     // (and humans grepping traces) can separate them from protocol audits.
     sim::TraceCategory tc = cat == Category::kEpochRace

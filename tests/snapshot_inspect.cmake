@@ -1,5 +1,5 @@
 # Runs the checkpoint example, then the snapshot inspector on the blob it
-# wrote.  Both must exit 0 and the inspector must report a format-v2 blob.
+# wrote.  Both must exit 0 and the inspector must report a format-v3 blob.
 #
 #   cmake -DEXAMPLE=<checkpoint_fault_tolerance> -DPYTHON=<python3>
 #         -DINSPECT=<tools/snapshot_inspect.py> -P snapshot_inspect.cmake
@@ -18,6 +18,6 @@ message("${out}")
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "snapshot_inspect.py exited with ${rc}")
 endif()
-if(NOT out MATCHES "BCSS v2 ")
-  message(FATAL_ERROR "snapshot_inspect.py did not report a BCSS v2 blob")
+if(NOT out MATCHES "BCSS v3 ")
+  message(FATAL_ERROR "snapshot_inspect.py did not report a BCSS v3 blob")
 endif()

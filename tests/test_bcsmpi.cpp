@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <string_view>
 #include <vector>
 
 #include "bcsmpi/comm.hpp"
@@ -411,9 +412,10 @@ TEST(BcsMpi, DemMsmTakeAboutPaperBudget) {
   const auto& recs = cluster.trace().records();
   sim::SimTime dem = -1, p2p = -1;
   for (const auto& r : recs) {
-    if (r.category != sim::TraceCategory::kStrobe) continue;
-    if (r.message.find("DEM") != std::string::npos && dem < 0) dem = r.time;
-    if (r.message.find("P2P") != std::string::npos && p2p < 0) p2p = r.time;
+    if (r.kind != &bcsmpi::trace::kMicrostrobe) continue;
+    const std::string_view phase = r.name;
+    if (phase == phaseName(bcsmpi::Phase::kDem) && dem < 0) dem = r.time;
+    if (phase == phaseName(bcsmpi::Phase::kP2p) && p2p < 0) p2p = r.time;
   }
   ASSERT_GE(dem, 0);
   ASSERT_GE(p2p, 0);

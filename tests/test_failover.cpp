@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bcsmpi/comm.hpp"
+#include "bcsmpi/runtime.hpp"
 #include "net/cluster.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
@@ -148,8 +149,8 @@ TEST_P(SsCrashDuringPhase, BackupElectedAndJobCompletes) {
   ASSERT_EQ(ref.watchdog_fires, 0u);
   SimTime strobe_at = -1;
   for (const sim::TraceRecord& r : ref.records) {
-    if (r.category == sim::TraceCategory::kStrobe && r.time >= msec(3) &&
-        r.message.rfind("microstrobe " + phase + " ", 0) == 0) {
+    if (r.kind == &bcsmpi::trace::kMicrostrobe && r.time >= msec(3) &&
+        r.name == phase) {
       strobe_at = r.time;
       break;
     }
@@ -176,9 +177,7 @@ TEST_P(SsCrashDuringPhase, BackupElectedAndJobCompletes) {
   EXPECT_EQ(a.mm_node, 0);
   const std::size_t elected = std::count_if(
       a.records.begin(), a.records.end(), [](const sim::TraceRecord& r) {
-        return r.category == sim::TraceCategory::kFailover &&
-               r.message.find("elected backup Strobe Sender") !=
-                   std::string::npos;
+        return r.kind == &bcsmpi::trace::kSsElected;
       });
   EXPECT_EQ(elected, 1u);
 

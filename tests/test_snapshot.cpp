@@ -4,7 +4,7 @@
 // observation, and restore() into a *fresh process-equivalent stack*
 // continues byte-identically — the crash-and-restore drill asserts
 //
-//   prefix(B, len@capture) + C  ==  A
+//   prefix(B, records@capture) + C  ==  A
 //
 // where A is the uninterrupted run, B the checkpointed run killed mid-
 // flight, and C the restored continuation.  Negative paths (truncation,
@@ -15,11 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "snapshot/buffers.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/error.hpp"
 #include "snapshot/format.hpp"
@@ -168,12 +170,12 @@ std::string render(const std::vector<SectionPin>& pins) {
 // field, a renamed section — moves these values.  A change that moves them
 // on purpose bumps kFormatVersion in the same commit.
 TEST(SnapshotFormat, EncodingIsPinned) {
-  EXPECT_EQ(snapshot::kFormatVersion, 2u);
+  EXPECT_EQ(snapshot::kFormatVersion, 3u);
 
   ScenarioSpec ring = snapshot::ckptRing();
   ring.mpi.checkpoint_every_slices = 4;
   const std::vector<SectionPin> ring_want = {
-      {"meta", 34, 0xb2c5be4eu},
+      {"meta", 26, 0x27e2a6a8u},
       {"engine", 52, 0xf5f5f21du},
       {"rng", 32, 0x64dc7f3eu},
       {"fault", 60, 0xfa1ebc51u},
@@ -193,7 +195,7 @@ TEST(SnapshotFormat, EncodingIsPinned) {
   const std::vector<std::uint8_t> soup_blob = captureAt(soup, 16);
   EXPECT_EQ(snapshot::restore(soup, soup_blob).runtime->stats().evictions, 1u);
   const std::vector<SectionPin> soup_want = {
-      {"meta", 34, 0x4936b1cdu},
+      {"meta", 26, 0x9846ba35u},
       {"engine", 52, 0x625473e9u},
       {"rng", 32, 0x180a9d66u},
       {"fault", 60, 0x311d23d2u},
@@ -213,7 +215,7 @@ TEST(SnapshotFormat, EncodingIsPinned) {
   ScenarioSpec tree = snapshot::ckptTree();
   tree.mpi.checkpoint_every_slices = 4;
   const std::vector<SectionPin> tree_want = {
-      {"meta", 34, 0xaeed1337u},
+      {"meta", 26, 0x5fc26358u},
       {"engine", 52, 0x22d25972u},
       {"rng", 32, 0x0ff3808au},
       {"fault", 60, 0xed52c826u},
@@ -241,6 +243,20 @@ TEST(SnapshotCapture, RefusesLiveFibers) {
     EXPECT_EQ(e.section(), "capture");
     EXPECT_NE(std::string(e.what()).find("fiber"), std::string::npos);
   }
+}
+
+TEST(SnapshotBuffers, IdIsRegistrationIndex) {
+  std::vector<std::byte> a(8);
+  std::vector<std::byte> b(16);
+  snapshot::BufferRegistry reg;
+  EXPECT_EQ(reg.add(a.data(), a.size()), 0u);
+  EXPECT_EQ(reg.add(b.data(), b.size()), 1u);
+  EXPECT_EQ(reg.refOf(b.data() + 5).id, 1u);
+  EXPECT_EQ(reg.refOf(b.data() + 5).offset, 5u);
+  EXPECT_EQ(reg.resolve({1, 16}), b.data() + 16);  // one past the end
+  EXPECT_EQ(reg.resolve({snapshot::kNullBuffer, 0}), nullptr);
+  EXPECT_THROW(reg.resolve({2, 0}), SnapshotError);   // unknown id
+  EXPECT_THROW(reg.resolve({0, 9}), SnapshotError);   // past the end
 }
 
 TEST(SnapshotRestore, RefusesFingerprintMismatch) {
@@ -354,14 +370,14 @@ TEST_P(SnapshotDrill, RestoredRunContinuesByteIdentically) {
   b.cluster->run(tc.kill);
   ASSERT_FALSE(blob.empty()) << "no checkpoint before the kill point";
   EXPECT_GT(b.runtime->stats().checkpoints_taken, 0u);
-  const std::string b_dump = b.cluster->trace().dump();
-  const std::uint64_t prefix = snapshot::traceDumpBytesAt(blob);
-  ASSERT_LE(prefix, b_dump.size());
-  ASSERT_LE(prefix, a_dump.size());
+  const auto prefix =
+      static_cast<std::size_t>(snapshot::traceRecordsAt(blob));
+  ASSERT_LE(prefix, b.cluster->trace().records().size());
+  ASSERT_LE(prefix, a.cluster->trace().records().size());
+  const std::string b_prefix = b.cluster->trace().dump(prefix);
   // The sink is pure observation: B's trace up to the capture instant is
   // byte-identical to the sink-less A's.
-  ASSERT_EQ(b_dump.substr(0, static_cast<std::size_t>(prefix)),
-            a_dump.substr(0, static_cast<std::size_t>(prefix)));
+  ASSERT_EQ(b_prefix, a.cluster->trace().dump(prefix));
 
   // C — a fresh stack restored from the blob, run to the same horizon.
   Simulation c = snapshot::restore(spec, blob);
@@ -371,8 +387,7 @@ TEST_P(SnapshotDrill, RestoredRunContinuesByteIdentically) {
   EXPECT_EQ(c.runtime->sliceIndex(), blob_slice);
   runUntil(c, tc.end);
 
-  const std::string spliced = b_dump.substr(
-      0, static_cast<std::size_t>(prefix)) + c.cluster->trace().dump();
+  const std::string spliced = b_prefix + c.cluster->trace().dump();
   if (spliced != a_dump) {
     // Locate the divergence instead of dumping two multi-MB strings.
     std::size_t i = 0;

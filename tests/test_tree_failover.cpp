@@ -21,9 +21,11 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bcsmpi/comm.hpp"
+#include "bcsmpi/runtime.hpp"
 #include "net/cluster.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
@@ -244,8 +246,8 @@ TEST(TreeRackSsCrash, MemberPromotedMidMicrophase) {
   ASSERT_EQ(ref.elections, 0u);
   SimTime strobe_at = -1;
   for (const sim::TraceRecord& r : ref.records) {
-    if (r.category == sim::TraceCategory::kStrobe && r.time >= msec(3) &&
-        r.message.rfind("microstrobe MSM ", 0) == 0) {
+    if (r.kind == &bcsmpi::trace::kMicrostrobe && r.time >= msec(3) &&
+        r.name == std::string_view(phaseName(bcsmpi::Phase::kMsm))) {
       strobe_at = r.time;
       break;
     }
@@ -266,16 +268,15 @@ TEST(TreeRackSsCrash, MemberPromotedMidMicrophase) {
   EXPECT_EQ(a.epoch, 0u);
   const std::size_t promoted = std::count_if(
       a.records.begin(), a.records.end(), [](const sim::TraceRecord& r) {
-        return r.category == sim::TraceCategory::kFailover &&
-               r.message.find("promoted to rack Strobe Sender of rack 1") !=
-                   std::string::npos;
+        return (r.kind == &bcsmpi::trace::kRackSsElected ||
+                r.kind == &bcsmpi::trace::kRackSsReplaced) &&
+               r.fields[0] == 1;
       });
   EXPECT_GE(promoted, 1u);
   // The root never died: no backup-root election.
   const std::size_t root_elected = std::count_if(
       a.records.begin(), a.records.end(), [](const sim::TraceRecord& r) {
-        return r.category == sim::TraceCategory::kFailover &&
-               r.message.find("elected backup root") != std::string::npos;
+        return r.kind == &bcsmpi::trace::kRootElected;
       });
   EXPECT_EQ(root_elected, 0u);
 
@@ -367,8 +368,8 @@ TEST(TreeRootCrash, RackSsElectedBackupRoot) {
   ASSERT_EQ(ref.elections, 0u);
   SimTime strobe_at = -1;
   for (const sim::TraceRecord& r : ref.records) {
-    if (r.category == sim::TraceCategory::kStrobe && r.time >= msec(3) &&
-        r.message.rfind("microstrobe P2P ", 0) == 0) {
+    if (r.kind == &bcsmpi::trace::kMicrostrobe && r.time >= msec(3) &&
+        r.name == std::string_view(phaseName(bcsmpi::Phase::kP2p))) {
       strobe_at = r.time;
       break;
     }
@@ -387,9 +388,7 @@ TEST(TreeRootCrash, RackSsElectedBackupRoot) {
   EXPECT_EQ(a.mm_node, 0);
   const std::size_t root_elected = std::count_if(
       a.records.begin(), a.records.end(), [](const sim::TraceRecord& r) {
-        return r.category == sim::TraceCategory::kFailover &&
-               r.message.find("elected backup root Strobe Sender") !=
-                   std::string::npos;
+        return r.kind == &bcsmpi::trace::kRootElected;
       });
   EXPECT_EQ(root_elected, 1u);
 

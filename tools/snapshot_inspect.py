@@ -5,7 +5,7 @@ Shows the format version, config fingerprint and, per section, the raw and
 compressed sizes plus the stored CRC-32 — and whether that CRC matches the
 payload actually present in the file.  Pure stdlib; reads the container
 header only (it does not decompress payloads, so it works on any version
-whose header layout matches v1; v2 keeps it).
+whose header layout matches v1; v2 and v3 keep it).
 
 Usage:
     tools/snapshot_inspect.py SNAPSHOT.bcss [...]
