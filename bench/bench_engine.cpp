@@ -384,8 +384,8 @@ double quadraticMatchesPerSec(const MatchSoup& soup) {
 // completion acks — and slices/sec measures that plane's scheduling cost
 // rather than fiber context switches or payload movement.  Only the
 // steady-state window (sim time 10ms..240ms, ~460 slices) is timed: job
-// launch spawns one fiber thread per rank and teardown joins them, a fixed
-// O(nodes) host-thread cost that belongs to neither the flat nor the tree
+// launch maps one fiber stack per rank and teardown unwinds them, a fixed
+// O(nodes) host cost that belongs to neither the flat nor the tree
 // control plane and would otherwise swamp the short tree runs.  tree_fanout
 // = 0 is the flat Strobe Sender; > 0 routes the same job through the
 // hierarchical strobe tree (DESIGN.md §7).
@@ -543,7 +543,7 @@ int main(int argc, char** argv) {
   // parallel soup: an untimed warmup per configuration, then flat and tree
   // runs alternating within each rep so both see the same cache/allocator
   // state, keeping the best rep per row.  The old single cold run was
-  // fiber-baton-bound and could swing 2x with machine load.
+  // bound by fiber switches and could swing 2x with machine load.
   constexpr int kSliceReps = 3;
   constexpr int kTreeFanout = 32;
   std::printf("BCS-MPI runtime slice rate (sparse exchange + 250ms compute; "

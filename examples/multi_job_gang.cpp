@@ -38,28 +38,29 @@ int main() {
   app_cfg.sweeps_per_step = 4;
   app_cfg.blocking = true;
 
+  // Heartbeats re-arm themselves for as long as they are on, so the event
+  // queue only drains once the last rank of the last job turns them off.
+  std::size_t ranks_running = 0;
   std::vector<std::vector<sim::SimTime>> finish(2);
   for (int j = 0; j < 2; ++j) {
     // Both jobs want every node: spread placement, one slot per node per
     // job, two job slots per node (multiprogramming level 2).
     const auto nodes =
         storm.allocate(8, /*per_node=*/2, storm::Storm::Placement::kSpread);
-    sim::SimTime launched_at = -1;
+    ranks_running += nodes.size();
     storm.launchImage(nodes, /*binary_bytes=*/2 << 20, 1,
                       [&, j, nodes](sim::SimTime) {
-                        launched_at = cluster.engine().now();
                         bcsmpi::launchJob(
                             *runtime, nodes,
-                            [app_cfg](mpi::Comm& c) {
+                            [&](mpi::Comm& c) {
                               (void)apps::sweep3d(c, app_cfg);
+                              if (--ranks_running == 0) storm.stopHeartbeats();
                             },
                             &finish[static_cast<std::size_t>(j)]);
                       });
   }
 
   cluster.run();
-  storm.stopHeartbeats();
-  cluster.run();  // drain the last heartbeat round
 
   for (int j = 0; j < 2; ++j) {
     sim::SimTime last = 0;

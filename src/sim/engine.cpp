@@ -109,11 +109,10 @@ struct alignas(64) ExecContext {
 };
 
 namespace {
+// Read only inside out-of-line functions of this file: fiber code that
+// reaches them may resume on a different worker after any yield().
 thread_local ExecContext* t_ctx = nullptr;
 }  // namespace
-
-void* currentExecContext() { return t_ctx; }
-void adoptExecContext(void* ctx) { t_ctx = static_cast<ExecContext*>(ctx); }
 
 int currentWorkerIndex() { return t_ctx != nullptr ? t_ctx->worker : -1; }
 

@@ -5,10 +5,11 @@
 // Design notes
 // ------------
 //  * Single logical thread of control.  Event callbacks run to completion;
-//    when a callback resumes a fiber (see fiber.hpp) the engine thread blocks
-//    until that fiber yields again, so at any instant exactly one piece of
-//    model code is running.  This gives sequential consistency and bitwise
-//    reproducibility on any host, including the 1-core build machines.
+//    when a callback resumes a fiber (see fiber.hpp) it switches onto the
+//    fiber's stack on the same thread until that fiber yields again, so at
+//    any instant exactly one piece of model code is running.  This gives
+//    sequential consistency and bitwise reproducibility on any host,
+//    including the 1-core build machines.
 //  * Ties are broken by insertion order (a monotonically increasing sequence
 //    number), never by pointer values, so runs are deterministic.
 //  * One pending-event structure serves every run mode: a ShardQueue split
@@ -113,12 +114,6 @@ bool deferTraceRecord(void* trace, TraceCommitFn commit, TraceRecord&& record);
 /// statistics) stripe their state per worker instead of contending on one
 /// cache line.
 int currentWorkerIndex();
-
-/// Exec-context baton for fiber switches: a fiber body runs on its own OS
-/// thread, so the waker snapshots its context (currentExecContext) and the
-/// fiber adopts it after every wake (adoptExecContext).  See sim/fiber.cpp.
-void* currentExecContext();
-void adoptExecContext(void* ctx);
 
 }  // namespace detail
 

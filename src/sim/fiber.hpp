@@ -4,28 +4,30 @@
 //
 // Application skeletons (SWEEP3D, NAS kernels, ...) are written as ordinary
 // C++ functions that call blocking MPI operations.  Each simulated process
-// runs on a Fiber — an OS thread that is baton-passed with the engine thread
-// so that exactly one of {engine, some fiber} executes at any instant.  This
-// preserves the determinism of the single-threaded engine while letting
-// model code keep a natural call stack (deeply nested blocking calls, as in
-// the wavefront codes, would be painful as hand-written state machines).
+// runs on a Fiber — its own stack, switched to in user space on the thread
+// that calls resume(), so exactly one of {engine, some fiber} executes on a
+// thread at any instant.  This preserves the determinism of the
+// single-threaded engine while letting model code keep a natural call stack
+// (deeply nested blocking calls, as in the wavefront codes, would be painful
+// as hand-written state machines).
 //
 // Lifecycle:  the engine resumes a fiber; the fiber runs until it calls
 // yield() (typically via Process::block()) or returns; control then returns
-// to the engine.  A fiber destroyed before finishing is unwound by throwing
-// FiberKilled through its stack.
+// to the resumer.  A fiber destroyed before finishing is unwound by throwing
+// FiberKilled through its stack.  The stack is mapped at the first resume()
+// and unmapped once the body has finished, so a fiber that is never run
+// costs nothing but its body.
 //
-// All shared flags (started_/finished_/kill_/error_/turn_ and the parallel
-// exec-context baton) live under mu_ for their whole lifecycle: the baton
-// handoff guarantees mutual exclusion *between* waits, but every read or
-// write of the flags themselves is lock-protected so the wake/join path is
-// race-free under ThreadSanitizer too.
+// Thread affinity:  a fiber runs on whichever thread resumes it, and in a
+// parallel run that can be a different worker from one resume to the next.
+// The compiler may keep the address of a thread_local in a register across
+// the yield() inside a frame, so model code must read thread_local state
+// only through out-of-line functions (as the engine's worker context is
+// read), never cache it in a frame that spans a switch.
 
+#include <cstddef>
 #include <exception>
 #include <functional>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 
 namespace bcs::sim {
 
@@ -36,46 +38,49 @@ struct FiberKilled {};
 
 class Fiber {
  public:
+  /// Usable stack per fiber: enough for every test, example and benchmark
+  /// workload, under ASan too.  A PROT_NONE guard page below it turns an
+  /// overflow into a fault instead of silent corruption.
+  static constexpr std::size_t kStackSize = 256 * 1024;
+
   /// Creates a fiber that will run `body` once first resumed.
   explicit Fiber(std::function<void()> body);
 
-  /// Joins the underlying thread; force-unwinds the body if unfinished.
+  /// Force-unwinds the body if unfinished, then releases the stack.
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Runs the fiber until it yields or finishes.  Must be called from the
-  /// engine side.  Rethrows any exception that escaped the fiber body.
+  /// Runs the fiber on the calling thread until it yields or finishes.
+  /// Must not be called from inside this fiber.  Rethrows any exception that
+  /// escaped the fiber body.
   void resume();
 
-  /// Suspends the calling fiber and returns control to the engine side.
+  /// Suspends the calling fiber and returns control to its resumer.
   /// Must be called from inside the fiber body.
   void yield();
 
   /// True once the body has returned (or was unwound).
-  bool finished() const;
+  bool finished() const { return finished_; }
 
  private:
-  enum class Turn { kEngine, kFiber };
+  /// The stack mapping; the switch contexts and sanitizer bookkeeping live
+  /// at its top, above the stack itself.  Defined in fiber.cpp.
+  struct Stack;
 
-  void threadMain();
+  static void entry(unsigned hi, unsigned lo);
+  void run();
+  void switchIn();
+  void switchOut(bool finishing);
+  void enteredFiber();
+  void releaseStack();
 
   std::function<void()> body_;
-  std::thread thread_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::kEngine;
-  bool started_ = false;
+  Stack* stack_ = nullptr;  ///< mapped at the first resume()
   bool finished_ = false;
   bool kill_ = false;
   std::exception_ptr error_;
-  /// Exec-context baton: the fiber body runs on its own OS thread, which
-  /// has no engine worker context of its own.  Every waker (resume() or the
-  /// destructor's kill path) snapshots its context here under mu_, and the
-  /// fiber adopts it on wake — so code running on the fiber schedules and
-  /// traces exactly as if it ran inline in the waking event.
-  void* resume_ctx_ = nullptr;
 };
 
 }  // namespace bcs::sim

@@ -16,7 +16,10 @@
 // sitting on its own cache line, and a thread hashes to a home stripe once
 // (thread_local), so the common same-thread acquire/release path never
 // contends with other workers.  Spinlocks (not mutexes) because the
-// critical section is a couple of pointer moves.
+// critical section is a couple of pointer moves.  A fiber may resume on
+// another worker while a frame still holds a home stripe computed before
+// the switch; that stripe is merely not this thread's, and the stripe lock
+// keeps it correct.
 //
 // Lifetime: the freelist state is itself held by shared_ptr and captured by
 // every deleter, so handles may outlive the pool object (events still queued

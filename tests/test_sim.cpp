@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -253,12 +255,8 @@ TEST(Fiber, DestructionUnwindsUnfinishedBody) {
   EXPECT_TRUE(unwound);
 }
 
-// Regression: destroying a fiber that was never resumed used to race with
-// threadMain's startup (the body thread read kill_ before taking the lock,
-// so a fast destructor could lose the kill notification and hang the join,
-// or the body could start running concurrently with the unwind).  The loop
-// makes the interleaving likely enough to trip TSan / hang deterministic
-// CI when the handshake regresses.
+// A fiber destroyed before its first resume must never start its body (its
+// stack is not even mapped yet).
 TEST(Fiber, ImmediateDestructionWithoutResumeIsClean) {
   for (int i = 0; i < 200; ++i) {
     bool ran = false;
@@ -269,9 +267,9 @@ TEST(Fiber, ImmediateDestructionWithoutResumeIsClean) {
   }
 }
 
-// Regression (same startup handshake, opposite winner): resume immediately
-// after construction, before the body thread has reached its first wait.
-// The resume must not be lost and the body must run exactly once.
+// The first resume right after construction maps the stack and runs the
+// body exactly once; repeated, it also checks that finished stacks are
+// released and fresh ones mapped cleanly.
 TEST(Fiber, ResumeImmediatelyAfterConstructionRuns) {
   for (int i = 0; i < 200; ++i) {
     int runs = 0;
@@ -282,8 +280,8 @@ TEST(Fiber, ResumeImmediatelyAfterConstructionRuns) {
   }
 }
 
-// Regression: rapid resume-once-then-destroy cycles exercise the kill path
-// waking a fiber parked in yield() while the destructor holds the lock.
+// Rapid resume-once-then-destroy cycles exercise the kill path: switching
+// into a fiber parked in yield() so that it unwinds, then unmapping it.
 TEST(Fiber, ResumeThenDestroyLoopUnwindsEveryBody) {
   int unwound = 0;
   for (int i = 0; i < 100; ++i) {
@@ -310,6 +308,138 @@ TEST(Fiber, ExceptionAfterYieldPropagatesOnSecondResume) {
   EXPECT_FALSE(f.finished());
   EXPECT_THROW(f.resume(), std::runtime_error);
   EXPECT_TRUE(f.finished());
+}
+
+// Runs step(i) for i = 0..n-1 on two threads taking turns: step i runs on
+// thread i % 2, strictly after step i-1 has returned.  `ids` receives the
+// two threads' ids.
+void alternateOnTwoThreads(int n, const std::function<void(int)>& step,
+                           std::thread::id (&ids)[2]) {
+  std::mutex mu;
+  std::condition_variable cv;
+  int turn = 0;
+  auto worker = [&](int me) {
+    std::unique_lock<std::mutex> lock(mu);
+    ids[me] = std::this_thread::get_id();
+    for (;;) {
+      cv.wait(lock, [&] { return turn >= n || turn % 2 == me; });
+      if (turn >= n) return;
+      lock.unlock();
+      step(turn);
+      lock.lock();
+      ++turn;
+      cv.notify_all();
+    }
+  };
+  std::thread a(worker, 0);
+  std::thread b(worker, 1);
+  a.join();
+  b.join();
+}
+
+// Reads the calling thread's id through a pointer the compiler cannot see
+// through: std::this_thread::get_id() is a const function, so a direct call
+// could be hoisted out of a loop that yields and resumes on another thread.
+std::thread::id (*volatile g_current_thread)() = &std::this_thread::get_id;
+
+TEST(Fiber, ResumedAlternatelyFromTwoThreadsContinuesOnEach) {
+  constexpr int kResumes = 7;  // six yields, then the body returns
+  std::vector<int> steps;
+  std::vector<std::thread::id> ran_on;
+  Fiber* self = nullptr;
+  Fiber f([&] {
+    for (int i = 0; i < kResumes; ++i) {
+      steps.push_back(i);
+      ran_on.push_back(g_current_thread());
+      if (i + 1 < kResumes) self->yield();
+    }
+  });
+  self = &f;
+  std::thread::id ids[2];
+  alternateOnTwoThreads(kResumes, [&](int) { f.resume(); }, ids);
+  EXPECT_TRUE(f.finished());
+  ASSERT_EQ(steps.size(), static_cast<std::size_t>(kResumes));
+  ASSERT_EQ(ran_on.size(), static_cast<std::size_t>(kResumes));
+  EXPECT_NE(ids[0], ids[1]);
+  for (int i = 0; i < kResumes; ++i) {
+    EXPECT_EQ(steps[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(ran_on[static_cast<std::size_t>(i)], ids[i % 2]) << "step " << i;
+  }
+}
+
+TEST(Fiber, ExceptionAfterCrossThreadResumeReachesThatThread) {
+  Fiber f([&f] {
+    f.yield();
+    throw std::runtime_error("boom on the second thread");
+  });
+  f.resume();  // parks in yield() on this thread
+  std::string caught;
+  std::thread other([&] {
+    try {
+      f.resume();
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+  });
+  other.join();
+  EXPECT_EQ(caught, "boom on the second thread");
+  EXPECT_TRUE(f.finished());
+}
+
+TEST(Fiber, DestroyingFiberLastResumedOnAnotherThreadUnwindsIt) {
+  bool unwound = false;
+  std::thread::id unwound_on;
+  {
+    Fiber* self = nullptr;
+    Fiber f([&] {
+      struct S {
+        bool* u;
+        std::thread::id* on;
+        ~S() {
+          *u = true;
+          *on = g_current_thread();
+        }
+      } s{&unwound, &unwound_on};
+      self->yield();
+      self->yield();
+    });
+    self = &f;
+    std::thread other([&] { f.resume(); });  // parks in the first yield()
+    other.join();
+    EXPECT_FALSE(unwound);
+  }  // the destructor unwinds it here, on this thread
+  EXPECT_TRUE(unwound);
+  EXPECT_EQ(unwound_on, std::this_thread::get_id());
+}
+
+// Fills a frame half the stack constant deep, yields with it live, then
+// reads it back.
+[[gnu::noinline]] std::size_t touchHalfTheStack(Fiber& self) {
+  volatile char frame[Fiber::kStackSize / 2];
+  for (std::size_t i = 0; i < sizeof frame; i += 256) {
+    frame[i] = static_cast<char>(i >> 8);
+  }
+  self.yield();
+  std::size_t sum = 0;
+  for (std::size_t i = 0; i < sizeof frame; i += 256) {
+    sum += static_cast<unsigned char>(frame[i]);
+  }
+  return sum;
+}
+
+TEST(Fiber, BodyUsingHalfTheStackRunsToCompletion) {
+  std::size_t sum = 0;
+  Fiber* self = nullptr;
+  Fiber f([&] { sum = touchHalfTheStack(*self); });
+  self = &f;
+  f.resume();
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < Fiber::kStackSize / 2; i += 256) {
+    expected += static_cast<unsigned char>(i >> 8);
+  }
+  EXPECT_EQ(sum, expected);
 }
 
 // ------------------------------------------------------------------ CPU --
