@@ -80,8 +80,10 @@ struct XferRequest {
   /// Invoked once, at the instant the transfer has completed at every
   /// destination.  With no `deliver` and no `remote_event` the hardware
   /// multicast needs no per-destination completion at all — the NIC only
-  /// observes the aggregate — which is what makes a relay fan-out O(1) in
-  /// engine events instead of O(destinations) (see DESIGN.md §7).
+  /// observes the aggregate — so a fan-out costs this one engine event.
+  /// With either, the hardware multicast adds one engine event per distinct
+  /// per-destination completion instant (one for an uncontended fan-out,
+  /// however wide), not one per destination (see DESIGN.md §7).
   std::function<void()> on_all;
 };
 

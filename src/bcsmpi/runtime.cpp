@@ -839,8 +839,10 @@ void Runtime::beginNodePhase(int node, std::uint64_t seq, Duration floor,
   opStarted(node);
   const Duration busy = std::max(floor, work_cost);
   if (busy <= 0) {
-    // Degenerate (test) configurations: complete via the engine so the
-    // outstanding counter still protects against early completion.
+    // No NIC-thread time to model: the default path of every idle P2P, BBM
+    // and RM phase, whose floors are 0 (only DEM and MSM have floors).
+    // Complete via the engine so the outstanding counter still protects
+    // against early completion.
     cluster_.engine().at(cluster_.engine().now(),
                          [this, node] { opFinished(node); });
   } else {

@@ -305,6 +305,8 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
   // so live destinations still receive even when siblings are dead.
   const bool src_down = fault_ && fault_->nodeDown(src, now);
   SimTime last = start_tx + fanout_latency;  // fallback if no live dest
+  std::vector<std::pair<SimTime, int>> legs;  // (completion, dest) if needed
+  if (on_delivered_at) legs.reserve(dests.size());
   for (int d : dests) {
     if (src_down || (fault_ && fault_->nodeDown(d, now))) {
       bump(&FabricStats::suppressed_deliveries);
@@ -318,11 +320,32 @@ void Fabric::multicast(int src, std::vector<int> dests, std::size_t bytes,
     raceTouch(race_, d, race::FieldGroup::kIngress, "Fabric::multicast");
     const SimTime completion = deliver_end + params_.nic_rx_overhead;
     last = std::max(last, completion);
-    if (on_delivered_at) {
-      engine_.at(completion, [cb = on_delivered_at, d] { cb(d); });
-    }
+    if (on_delivered_at) legs.emplace_back(completion, d);
   }
   record(trace::kHwMulticast, src, dests.size(), bytes);
+
+  // One engine event per distinct completion instant, calling the callback
+  // for that instant's destinations in ascending order.  This is exactly the
+  // one-event-per-leg order: legs scheduled back to back in this call get
+  // consecutive keys, so same-instant legs would fire back to back anyway,
+  // and whatever a leg schedules lands behind all of them.
+  if (!legs.empty()) {
+    std::sort(legs.begin(), legs.end());  // (time, node); nodes are unique
+    struct Fanout {
+      std::function<void(int)> cb;
+      std::vector<std::pair<SimTime, int>> legs;
+    };
+    auto fan = std::make_shared<Fanout>(
+        Fanout{std::move(on_delivered_at), std::move(legs)});
+    const std::size_t n = fan->legs.size();
+    for (std::size_t b = 0, e = 0; b < n; b = e) {
+      const SimTime when = fan->legs[b].first;
+      while (e < n && fan->legs[e].first == when) ++e;
+      engine_.at(when, [fan, b, e] {
+        for (std::size_t i = b; i < e; ++i) fan->cb(fan->legs[i].second);
+      });
+    }
+  }
   if (on_all) engine_.at(last, std::move(on_all));
 }
 
@@ -382,7 +405,12 @@ void Fabric::softwareMulticast(int src, const std::vector<int>& dests,
                 [st, issueFrom, to_node, to_pos] {
                   if (st->per_dest) st->per_dest(to_node);
                   (*issueFrom)(to_pos);
-                  if (--st->outstanding == 0 && st->all_done) st->all_done();
+                  if (--st->outstanding == 0) {
+                    // `*issueFrom` holds `issueFrom`: with every copy
+                    // delivered no send is left, so break the cycle.
+                    *issueFrom = nullptr;
+                    if (st->all_done) st->all_done();
+                  }
                 });
       });
     }

@@ -121,6 +121,11 @@ class Fabric {
   /// Multicasts `bytes` from src to every node in `dests` (src excluded
   /// automatically if present).  `on_delivered_at(node)` fires per
   /// destination; `on_all` (optional) once after the last delivery.
+  /// On hardware multicast, the per-destination callbacks cost one engine
+  /// event per distinct completion instant (usually one for the whole
+  /// fan-out), calling `on_delivered_at` for that instant's destinations in
+  /// ascending order; an empty `on_delivered_at` costs no event at all.  The
+  /// software tree still pays one unicast per destination.
   void multicast(int src, std::vector<int> dests, std::size_t bytes,
                  std::function<void(int)> on_delivered_at,
                  std::function<void()> on_all = {});

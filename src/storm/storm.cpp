@@ -117,6 +117,9 @@ void Storm::launchImage(const std::vector<int>& nodes,
       core_.compareAndWriteAsync(std::move(req), [this, t0, on_launched,
                                                   poll](bool ready) {
         if (ready) {
+          // `*poll` holds `poll`, which holds `*poll`: no further poll is
+          // scheduled, so break the cycle or the closure is never freed.
+          *poll = nullptr;
           if (on_launched) on_launched(cluster_.engine().now() - t0);
         } else {
           cluster_.engine().after(config_.launch_poll_interval, *poll);

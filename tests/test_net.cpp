@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/cluster.hpp"
@@ -11,6 +13,7 @@
 #include "net/params.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault.hpp"
 
 namespace {
 
@@ -163,6 +166,58 @@ TEST_F(FabricFixture, MulticastExcludesSourceAndDedups) {
                    {});
   eng.run();
   EXPECT_EQ(got.size(), 2u);
+}
+
+// A hardware multicast schedules one engine event per distinct completion
+// instant, yet callbacks run exactly as if every leg were its own event:
+// ascending (time, node) order, anything a leg schedules at `now` behind
+// every leg of that instant, and `on_all` last.
+TEST_F(FabricFixture, MulticastGroupsLegsByCompletionInstant) {
+  sim::FaultPlan plan;
+  plan.crashNode(5, 0);
+  sim::FaultInjector faults(plan, 1);
+  fabric.setFaultInjector(&faults);
+
+  // Preload the ingress of nodes 3 and 7 so their legs land later than the
+  // uncontended legs, and at two different instants.
+  SimTime busy3 = -1, busy7 = -1;
+  fabric.unicast(1, 3, 1 << 16, [&] { busy3 = eng.now(); });
+  fabric.unicast(2, 7, 1 << 17, [&] { busy7 = eng.now(); });
+  const std::uint64_t preload_events = 2;
+
+  constexpr int kProbe = -1, kAll = -2;
+  std::vector<std::pair<SimTime, int>> log;
+  const std::size_t bytes = 256;
+  fabric.multicast(
+      0, {0, 3, 4, 5, 7, 4, 9, 3}, bytes,
+      [&](int node) {
+        log.emplace_back(eng.now(), node);
+        if (node == 4) {
+          eng.at(eng.now(), [&] { log.emplace_back(eng.now(), kProbe); });
+        }
+      },
+      [&] { log.emplace_back(eng.now(), kAll); });
+  const std::uint64_t probe_events = 1;
+  eng.run();
+
+  ASSERT_EQ(log.size(), 6u);
+  const SimTime t0 = log[0].first;
+  const auto dserial = static_cast<SimTime>(
+      std::ceil(static_cast<double>(bytes) / params.mcast_bandwidth));
+  const std::vector<std::pair<SimTime, int>> want = {
+      {t0, 4},
+      {t0, 9},
+      {t0, kProbe},
+      {busy3 + dserial, 3},
+      {busy7 + dserial, 7},
+      {busy7 + dserial, kAll}};
+  EXPECT_EQ(log, want);
+  EXPECT_LT(t0, busy3);
+  EXPECT_LT(busy3, busy7);
+  EXPECT_EQ(fabric.stats().suppressed_deliveries, 1u);  // node 5 is down
+  const std::uint64_t instants = 3;
+  EXPECT_EQ(eng.executedEvents() - preload_events - probe_events,
+            instants + 1);  // + on_all
 }
 
 TEST_F(FabricFixture, MulticastLatencyIsNearlyFlatInFanout) {
