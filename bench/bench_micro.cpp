@@ -1,17 +1,22 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself:
 // event-engine throughput, fiber context switches, softfloat arithmetic,
-// fabric operations and descriptor matching.  These guard the wall-clock
-// cost of the reproduction experiments.
+// fabric operations, descriptor matching and the snapshot codec.  These
+// guard the wall-clock cost of the reproduction experiments.
 
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "bcs/core.hpp"
+#include "codec/lzss.hpp"
 #include "net/fabric.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 #include "sim/rng.hpp"
+#include "snapshot/checkpoint.hpp"
+#include "snapshot/format.hpp"
 #include "softfloat/softfloat.hpp"
 
 namespace {
@@ -131,6 +136,75 @@ void BM_CompareAndWrite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompareAndWrite);
+
+/// Raw sections of the first periodic capture of a 512-node detached ring
+/// (one rank per node, 512-byte messages, a capture every 16 slices): the
+/// input the snapshot codec sees at every capture.  Built once.
+const std::vector<std::string>& ringSnapshotSections() {
+  static const std::vector<std::string> sections = [] {
+    snapshot::ScenarioSpec spec;
+    const int n = 512;
+    spec.cluster.num_compute_nodes = n;
+    spec.mpi.runtime_init_overhead = sim::usec(200);
+    spec.mpi.checkpoint_every_slices = 16;
+    spec.ring.ranks = n;
+    spec.ring.node_of_rank.resize(static_cast<std::size_t>(n));
+    std::iota(spec.ring.node_of_rank.begin(), spec.ring.node_of_rank.end(),
+              0);
+    spec.ring.rounds = 30;
+    spec.ring.bytes = 512;
+    spec.trace = false;
+    snapshot::Simulation sim = snapshot::build(spec);
+    std::vector<std::uint8_t> blob;
+    sim.runtime->setSnapshotSink([&sim, &blob](std::uint64_t) {
+      if (blob.empty()) blob = snapshot::capture(sim);
+    });
+    sim.cluster->run(sim::msec(10));
+    const snapshot::SnapshotReader reader(blob);
+    std::vector<std::string> out;
+    for (const snapshot::SectionInfo& info : reader.sections()) {
+      out.push_back(reader.section(info.name));
+    }
+    return out;
+  }();
+  return sections;
+}
+
+std::int64_t totalBytes(const std::vector<std::string>& sections) {
+  std::int64_t n = 0;
+  for (const std::string& s : sections) n += static_cast<std::int64_t>(s.size());
+  return n;
+}
+
+void BM_LzssCompress(benchmark::State& state) {
+  const std::vector<std::string>& sections = ringSnapshotSections();
+  for (auto _ : state) {
+    for (const std::string& raw : sections) {
+      std::vector<std::uint8_t> blob = codec::compress(raw);
+      benchmark::DoNotOptimize(blob.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * totalBytes(sections));
+}
+BENCHMARK(BM_LzssCompress)->Unit(benchmark::kMillisecond);
+
+void BM_LzssDecompress(benchmark::State& state) {
+  const std::vector<std::string>& sections = ringSnapshotSections();
+  std::vector<std::vector<std::uint8_t>> blobs;
+  for (const std::string& raw : sections) {
+    blobs.push_back(codec::compress(raw));
+  }
+  for (auto _ : state) {
+    for (const std::vector<std::uint8_t>& blob : blobs) {
+      std::string raw = codec::decompress(blob);
+      benchmark::DoNotOptimize(raw.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * totalBytes(sections));
+}
+BENCHMARK(BM_LzssDecompress)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -126,8 +126,7 @@ std::string SnapshotReader::section(const std::string& name) const {
     }
     std::string raw;
     try {
-      raw = codec::decompress(
-          std::vector<std::uint8_t>(p, p + info.comp_size));
+      raw = codec::decompress({p, static_cast<std::size_t>(info.comp_size)});
     } catch (const std::exception& e) {
       throw SnapshotError(name, std::string("decompression failed: ") +
                                     e.what());
